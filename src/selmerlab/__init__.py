@@ -70,7 +70,6 @@ from .twists import (
     sample_t,
     sample_transitions,
     simulate_walks,
-    step_ranks,
     synth_prime_stream,
     t_distribution,
     twist_step,

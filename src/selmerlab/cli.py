@@ -10,8 +10,8 @@ disparity    per-place and global disparity, limit density, mean rank
 avg-rank     mean rank over a disparity grid with an affine fit
 
 Global flags (after the subcommand): ``--seed``, ``--threads``,
-``--out``, ``--format {csv,json}``.  ``SELMER_LAB_THREADS`` is the
-fallback for ``--threads``.
+``--out``, ``--format {csv,json}``.  ``--threads`` (fallback
+``SELMER_LAB_THREADS``) is accepted for compatibility and ignored.
 
 Determinism contract: the numeric artifact (the ``--out`` file, or
 stdout when ``--out`` is absent) depends only on the spec and the seed;

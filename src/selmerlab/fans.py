@@ -21,7 +21,6 @@ and norms are compared in the log domain throughout.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -338,8 +337,8 @@ def fan_distribution(
     Equal weights are correct because every level of a fixed fan has
     the same number of sites, hence the same twist-fiber cardinality.
     In sampled mode the walk budget is split evenly across levels and
-    each level gets its own spawned RNG substream, so the result does
-    not depend on thread count or scheduling.
+    each level gets its own spawned RNG substream.  ``threads`` is
+    accepted for compatibility and ignored: levels run serially.
     """
     if not levels:
         raise EmptyFan("fan average over an empty list of levels")
@@ -349,18 +348,12 @@ def fan_distribution(
     if rng is None:
         raise ValidationError("sampled mode needs an rng")
     walks_per_level = max(1, walks // len(levels))
-    substreams = rng.spawn(len(levels))
-    def one(job):
-        level, child = job
-        return level_rank_distribution(
+    stack = [
+        level_rank_distribution(
             level, initial, mode, p, child, walks=walks_per_level, sampler=sampler
         ).values
-    jobs = list(zip(levels, substreams))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stack = list(pool.map(one, jobs))
-    else:
-        stack = [one(job) for job in jobs]
+        for level, child in zip(levels, rng.spawn(len(levels)))
+    ]
     return _density_unchecked(np.mean(stack, axis=0))
 
 

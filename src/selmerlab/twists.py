@@ -63,7 +63,6 @@ __all__ = [
     "exact_step_kernel",
     "TStepSampler",
     "sample_transitions",
-    "step_ranks",
     "simulate_walks",
 ]
 
@@ -241,15 +240,16 @@ def twist_step(
     raise ValidationError(f"width i must be 1 or 2, got {i}")
 
 
-def _kernel_row(i: int, r: int, p: int) -> list[tuple[int, Fraction]]:
-    # Compose the t-row with the conditional rank law; this is the
-    # independent route to the one-step kernel (no matrix powers).
-    row = t_distribution(i, r, p, exact=True)
+def _compose(i: int, r: int, row, p_inv) -> list[tuple[int, object]]:
+    # The one place the (i, t) -> rank law meets a t-row: the nonzero
+    # (target rank, probability) pairs of one kernel row.  Exact rows
+    # pass p_inv = Fraction(1, p); float and sampler rows pass 1 / p.
     if i == 1:
-        return [(r - 1, row[1]), (r + 1, row[0])]
-    up = row[0] * Fraction(1, p)
-    stay = row[1] + row[0] * Fraction(p - 1, p)
-    return [(r - 2, row[2]), (r, stay), (r + 2, up)]
+        pairs = ((r - 1, row[1]), (r + 1, row[0]))
+    else:
+        up = row[0] * p_inv
+        pairs = ((r - 2, row[2]), (r, row[1] + (row[0] - up)), (r + 2, up))
+    return [(target, mass) for target, mass in pairs if mass]
 
 
 def exact_step_kernel(i: int, p: int, N: int, *, exact: bool = False) -> BandedOperator:
@@ -267,9 +267,8 @@ def exact_step_kernel(i: int, p: int, N: int, *, exact: bool = False) -> BandedO
     else:
         matrix = np.zeros((N, N))
     for r in range(N):
-        for target, mass in _kernel_row(i, r, p):
-            if mass == 0:
-                continue
+        row = t_distribution(i, r, p, exact=True)
+        for target, mass in _compose(i, r, row, Fraction(1, p)):
             while target >= N:
                 target -= 2
             value = mass if exact else float(mass)
@@ -366,21 +365,6 @@ def sample_transitions(
     return _update_ranks(i, r, ts, p, rng)
 
 
-def step_ranks(
-    ranks: np.ndarray,
-    i: int,
-    p: int,
-    rng: np.random.Generator,
-    sampler: TStepSampler | None = None,
-) -> np.ndarray:
-    """Advance every walk by one width-i step, grouped by current rank."""
-    out = np.empty_like(ranks)
-    for r in np.unique(ranks):
-        mask = ranks == r
-        out[mask] = sample_transitions(i, int(r), p, int(mask.sum()), rng, sampler)
-    return out
-
-
 def simulate_walks(
     widths: list[int],
     initial: Density,
@@ -389,21 +373,39 @@ def simulate_walks(
     rng: np.random.Generator,
     sampler: TStepSampler | None = None,
 ) -> Density:
-    """Empirical rank distribution after stepping through ``widths``.
+    """Empirical rank distribution of ``walks`` i.i.d. walks through ``widths``.
 
-    Starting ranks are drawn from ``initial``; each width-i entry is one
-    twist step for every walk.  The result is the bin-count density on
-    the same rank window.
+    Each walk starts at a rank drawn from ``initial`` and takes one
+    twist step per width-i entry, its t drawn from ``sampler.row(i, r)``
+    (or the exact row when there is no sampler).  The result is the
+    bin-count density on the same rank window.
+
+    Only that histogram is returned, so the engine propagates rank
+    counts instead of walks.  The start histogram of W i.i.d. draws is
+    Multinomial(W, initial).  Given the counts before a step, the
+    counts[r] walks at rank r move independently with the composed
+    kernel row K_i(r, .), so their destinations are
+    Multinomial(counts[r], K_i(r, .)), independently across r; summing
+    them gives the next counts with the same conditional law as
+    stepping every walk.  By induction the final histogram has exactly
+    the law of per-walk stepping, and the cost depends on the occupied
+    ranks, not on W.
     """
+    if walks < 1:
+        raise ValidationError(f"walks must be >= 1, got {walks}")
     pvals = initial.as_float()
     pvals = pvals / pvals.sum()
-    ranks = rng.choice(initial.N, size=walks, p=pvals)
     ceiling = int(np.nonzero(pvals)[0].max()) + sum(widths)
     if ceiling >= initial.N:
         raise TruncationMismatch(
             f"walk ceiling {ceiling} would leave the rank window N = {initial.N}"
         )
+    sampler = sampler or TStepSampler(p)
+    counts = rng.multinomial(walks, pvals)
     for i in widths:
-        ranks = step_ranks(ranks, i, p, rng, sampler)
-    counts = np.bincount(ranks, minlength=initial.N).astype(float)
+        nxt = np.zeros_like(counts)
+        for r in np.flatnonzero(counts).tolist():
+            targets, masses = zip(*_compose(i, r, sampler.row(i, r), 1.0 / p))
+            nxt[list(targets)] += rng.multinomial(counts[r], masses)
+        counts = nxt
     return _density_unchecked(counts / walks)

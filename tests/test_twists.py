@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selmerlab as sl
-from selmerlab.twists import TStepSampler, step_ranks
+from selmerlab.twists import TStepSampler
 
 
 def default_config(seed=0):
@@ -238,14 +240,14 @@ def test_sampler_none_y_is_exact():
         TStepSampler(2, y=1.5, seed=0)
 
 
-def test_step_ranks_matches_kernel_frequencies():
+def test_simulate_walks_matches_kernel_frequencies():
     p, n = 2, 200_000
     rng = np.random.default_rng(8)
-    ranks = np.full(n, 2, dtype=np.int64)
-    out = step_ranks(ranks, 2, p, rng)
+    start = sl.make_density([0.0, 0.0, 1.0], 8)
+    out = sl.simulate_walks([2], start, p, n, rng)
     row = sl.exact_step_kernel(2, p, 8).matrix[2]
     for target in (0, 2, 4):
-        freq = np.mean(out == target)
+        freq = out.values[target]
         sigma = math.sqrt(row[target] * (1 - row[target]) / n)
         assert abs(freq - row[target]) < 5 * sigma
 
@@ -280,3 +282,46 @@ def test_simulate_walks_ceiling_guard():
     rng = np.random.default_rng(11)
     with pytest.raises(sl.TruncationMismatch):
         sl.simulate_walks([2] * 8, init, 2, 2000, rng)
+
+
+def test_simulate_walks_rejects_bad_walk_counts():
+    init = sl.make_density([1.0], 16)
+    for walks in (0, -5):
+        with pytest.raises(sl.ValidationError):
+            sl.simulate_walks([1], init, 2, walks, np.random.default_rng(12))
+
+
+def test_simulate_walks_cost_is_independent_of_walk_count():
+    # a billion walks are cheap, and land within 5/sqrt(W) of the product
+    p, walks = 2, 10**9
+    init = sl.make_density([0.5, 0.5], 16)
+    out = sl.simulate_walks(
+        [1, 2, 1], init, p, walks, np.random.default_rng(13), TStepSampler(p)
+    )
+    K1 = sl.exact_step_kernel(1, p, 16).matrix
+    K2 = sl.exact_step_kernel(2, p, 16).matrix
+    expect = init.values @ K1 @ K2 @ K1
+    assert np.abs(out.values - expect).max() < 5.0 / math.sqrt(walks)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    r=st.integers(0, 12),
+    i=st.sampled_from([1, 2]),
+    y=st.floats(2.0, 1000.0),
+    seed=st.integers(0, 2**32 - 1),
+    walks=st.integers(1, 10**7),
+)
+def test_one_walk_step_conserves_count_support_and_parity(p, r, i, y, seed, walks):
+    N = 16
+    start = sl.make_density([0.0] * r + [1.0], N)
+    sampler = TStepSampler(p, y=y, seed=seed)
+    out = sl.simulate_walks([i], start, p, walks, np.random.default_rng(seed), sampler)
+    counts = out.values * walks
+    assert np.allclose(counts, np.round(counts), rtol=0.0, atol=1e-6)
+    assert round(counts.sum()) == walks
+    support = np.flatnonzero(np.round(counts))
+    assert support.min() >= max(0, r - i) and support.max() <= r + i
+    # width 1 flips the parity of every walk, width 2 preserves it
+    assert all(s % 2 == (r + i) % 2 for s in support)
