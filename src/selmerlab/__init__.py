@@ -40,7 +40,6 @@ from .errors import (
     EmptyFan,
     InfeasibleFan,
     InvalidPrime,
-    InvalidT,
     NegativeEntry,
     NoConvergence,
     NotNormalized,
@@ -63,22 +62,20 @@ from .lagrangian import (
 from .twists import (
     S3_WIDTH_DENSITIES,
     PrimeSite,
-    RankWalkState,
     StreamConfig,
     TStepSampler,
     exact_step_kernel,
-    sample_t,
     sample_transitions,
     simulate_walks,
     synth_prime_stream,
     t_distribution,
-    twist_step,
 )
 from .fans import (
     ConvergenceRate,
     FanSpec,
     Level,
     enumerate_levels,
+    fan_collapse,
     fan_collapse_residual,
     fan_distribution,
     fan_union_distribution,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -34,7 +33,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .distributions import Density, apply, l1_distance, make_density, power, rho_parity
+from .distributions import Density, apply, l1_distance, make_density, rho_parity
 from .errors import NumericError, SelmerLabError, ValidationError
 from .lagrangian import (
     LagrangianParams,
@@ -43,8 +42,8 @@ from .lagrangian import (
     equilibrium,
     predicted_limit,
 )
-from .twists import StreamConfig, TStepSampler, synth_prime_stream
-from .fans import ConvergenceRate, FanSpec, fan_distribution, sample_levels
+from .twists import StreamConfig, synth_prime_stream
+from .fans import ConvergenceRate, FanSpec, fan_collapse
 from .disparity import (
     DisparityTable,
     average_rank,
@@ -110,11 +109,21 @@ def _parse_initial(spec: str, N: int) -> Density:
         with open(spec[1:]) as handle:
             return make_density(json.loads(handle.read())["values"], N)
     if spec.startswith("delta"):
-        rank = int(spec[len("delta"):])
+        digits = spec[len("delta"):]
+        if not digits.isdecimal():
+            raise ValidationError(f"--initial delta<n> needs a rank n >= 0, got {spec!r}")
+        rank = int(digits)
         values = [0.0] * (rank + 1)
         values[rank] = 1.0
         return make_density(values, N)
-    return make_density([float(x) for x in spec.split(",")], N)
+    return make_density(_parse_floats(spec, "--initial"), N)
+
+
+def _parse_floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{flag} needs comma-separated numbers, got {text!r}") from None
 
 
 def cmd_constants(args):
@@ -152,6 +161,8 @@ def cmd_equilibrium(args):
 
 
 def cmd_iterate(args):
+    if args.steps < 0:
+        raise ValidationError(f"--steps must be >= 0, got {args.steps}")
     params = LagrangianParams(args.p, args.N)
     f = _parse_initial(args.initial, args.N)
     target = predicted_limit(f, "even", params)
@@ -236,7 +247,7 @@ def cmd_fans(args):
         report = end_to_end_fan_experiment(
             table, rate, m, k, X, mode, p, N, rng, orientation,
             stream=config, stream_X=stream_X, levels=levels, walks=walks,
-            y=y if mode == "sampled_at_Y" else None, threads=args.threads,
+            y=y if mode == "sampled_at_Y" else None,
         )
         payload = {
             "params": {**params, "orientation": orientation},
@@ -254,18 +265,10 @@ def cmd_fans(args):
         }
         residual = report.residual_finite
     else:
-        sites = synth_prime_stream(config, stream_X)
-        spec = FanSpec.from_rate(rate, m, k, X)
-        sampled = sample_levels(sites, spec, levels, rng)
-        initial = make_density([1.0], N)
-        sampler = None
-        if mode == "sampled_at_Y":
-            sampler = TStepSampler(p, y, seed=int(rng.integers(2**62)))
-        fan = fan_distribution(
-            sampled, initial, mode, p, rng,
-            walks=walks, sampler=sampler, threads=args.threads,
+        fan, target = fan_collapse(
+            FanSpec.from_rate(rate, m, k, X), synth_prime_stream(config, stream_X),
+            make_density([1.0], N), mode, p, rng, levels=levels, walks=walks, y=y,
         )
-        target = apply(power(build_lagrangian(LagrangianParams(p, N)), k), initial)
         residual = l1_distance(fan, target)
         payload = {
             "params": params,
@@ -301,9 +304,11 @@ def cmd_disparity(args):
 
 def cmd_avg_rank(args):
     if args.deltas:
-        grid = [float(x) for x in args.deltas.split(",")]
+        grid = _parse_floats(args.deltas, "--deltas")
     else:
-        grid = list(np.linspace(-0.5, 0.5, args.grid))
+        grid = list(np.linspace(-0.5, 0.5, max(args.grid, 0)))
+    if len(set(grid)) < 2:
+        raise ValidationError("the affine fit needs at least two distinct deltas")
     means = [average_rank(d, args.p, args.N, args.orientation) for d in grid]
     slope, intercept = np.polyfit(grid, means, 1)
     payload = {

@@ -46,15 +46,9 @@ from .errors import (
     EmptyCharacterList,
     ValidationError,
 )
-from .fans import (
-    ConvergenceRate,
-    FanSpec,
-    Mode,
-    fan_distribution,
-    sample_levels,
-)
+from .fans import ConvergenceRate, FanSpec, Mode, fan_collapse
 from .lagrangian import LagrangianParams, build_lagrangian, c_constants
-from .twists import StreamConfig, TStepSampler, synth_prime_stream
+from .twists import StreamConfig, synth_prime_stream
 
 __all__ = [
     "LocalCharacter",
@@ -194,7 +188,7 @@ class InitialPair:
             )
 
 
-def initial_from_disparity(delta: float, support_cap: int, p: int = 2) -> InitialPair:
+def initial_from_disparity(delta: float, support_cap: int) -> InitialPair:
     """Canonical pair with rho(e1_plus) = 1/2 - delta, rho(e1_minus) = 1/2 + delta.
 
     The canonical choice puts all mass on ranks 0 and 1; any other pair
@@ -288,7 +282,6 @@ def end_to_end_fan_experiment(
     levels: int = 30,
     walks: int = 100_000,
     y: float | None = None,
-    threads: int = 1,
 ) -> FanExperimentReport:
     """Disparity table -> initial pair -> fan average -> residual report.
 
@@ -302,19 +295,16 @@ def end_to_end_fan_experiment(
         rng = np.random.default_rng(0)
     delta = delta_global(table)
     pair_delta = -delta if orientation == "odd_heavy" else delta
-    pair = initial_from_disparity(pair_delta, N, p)
-    spec = FanSpec.from_rate(rate, m, k, X)
+    pair = initial_from_disparity(pair_delta, N)
     config = stream if stream is not None else StreamConfig(seed=0)
-    sites = synth_prime_stream(config, stream_X)
-    sampled = sample_levels(sites, spec, levels, rng)
-    start = pair.e1_plus if k % 2 == 0 else pair.e1_minus
-    sampler = None
-    if mode == "sampled_at_Y":
-        sampler = TStepSampler(p, y, seed=int(rng.integers(2**62)))
-    fan = fan_distribution(
-        sampled, start, mode, p, rng, walks=walks, sampler=sampler, threads=threads
+    # The governed target of the pipeline, M_L**k on the parity-matched
+    # start, is finite_fan_distribution(pair, k, p, N).
+    fan, finite = fan_collapse(
+        FanSpec.from_rate(rate, m, k, X),
+        synth_prime_stream(config, stream_X),
+        pair.e1_plus if k % 2 == 0 else pair.e1_minus,
+        mode, p, rng, levels=levels, walks=walks, y=y,
     )
-    finite = finite_fan_distribution(pair, k, p, N)
     limit = limit_distribution(delta, p, N, orientation)
     return FanExperimentReport(
         delta=delta,

@@ -20,14 +20,13 @@ reversing are the pieces the equilibrium arguments downstream rely on.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
 import numpy as np
 
-from .errors import NegativeEntry, NotNormalized, TruncationMismatch
+from .errors import NegativeEntry, NotNormalized, TruncationMismatch, ValidationError
 
 __all__ = [
     "TOL_NORM",
@@ -101,14 +100,6 @@ class Density:
     def as_float(self) -> np.ndarray:
         return self.values.astype(float)
 
-    def to_json(self) -> str:
-        return json.dumps({"N": self.N, "values": [float(v) for v in self.values]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Density":
-        data = json.loads(text)
-        return make_density(data["values"], data["N"])
-
 
 def make_density(raw, N: int | None = None, *, tol: float = TOL_NORM) -> Density:
     """Build a validated Density, zero-padding ``raw`` up to length ``N``.
@@ -146,14 +137,15 @@ class ParityClass(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class BandedOperator:
-    """Row-stochastic matrix with entries confined to |r - s| <= bandwidth.
+    """Row-stochastic matrix acting on densities from the right.
 
-    ``p`` is an optional prime tag recording which modulus the operator
-    was built for; it is metadata only and is not serialized.
+    The operators built here are banded (nonzero only near the
+    diagonal), but the band is a property of the zero pattern, not a
+    stored field.  ``p`` is an optional prime tag recording which
+    modulus the operator was built for; it is metadata only.
     """
 
     matrix: np.ndarray
-    bandwidth: int
     p: int | None = None
 
     @property
@@ -167,55 +159,20 @@ class BandedOperator:
     def as_float(self) -> np.ndarray:
         return self.matrix.astype(float)
 
-    def to_json(self) -> str:
-        rows = []
-        for r in range(self.N):
-            entries = {
-                str(s): float(self.matrix[r, s])
-                for s in range(self.N)
-                if self.matrix[r, s] != 0
-            }
-            rows.append({"r": r, "entries": entries})
-        return json.dumps({"N": self.N, "rows": rows})
-
-    @classmethod
-    def from_json(cls, text: str) -> "BandedOperator":
-        data = json.loads(text)
-        N = data["N"]
-        matrix = np.zeros((N, N), dtype=float)
-        for row in data["rows"]:
-            r = row["r"]
-            for s, value in row["entries"].items():
-                matrix[r, int(s)] = value
-        return make_operator(matrix)
-
-
-def _matrix_bandwidth(matrix: np.ndarray) -> int:
-    rows, cols = np.nonzero(matrix != 0)
-    if len(rows) == 0:
-        return 0
-    return int(np.abs(rows - cols).max())
-
 
 def make_operator(matrix, p: int | None = None, *, tol: float = TOL_NORM) -> BandedOperator:
     """Validate a square row-stochastic matrix and wrap it.
 
-    The bandwidth is measured from the zero pattern.  Raises
-    ``NegativeEntry`` / ``NotNormalized`` on invalid rows.
+    Object arrays (Fraction entries) stay exact; anything else becomes
+    float64.  Raises ``NegativeEntry`` / ``NotNormalized`` on invalid
+    rows.
     """
-    matrix = np.array(matrix, dtype=object if _has_fraction(matrix) else float)
+    matrix = np.array(matrix, dtype=object if _is_exact(np.asarray(matrix)) else float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise TruncationMismatch(f"operator matrix must be square, got {matrix.shape}")
     for r in range(matrix.shape[0]):
         _validate_probability_vector(matrix[r], tol, f"operator row {r}")
-    return BandedOperator(_freeze(matrix), _matrix_bandwidth(matrix), p)
-
-
-def _has_fraction(matrix) -> bool:
-    arr = np.asarray(matrix)
-    if arr.dtype == object:
-        return True
-    return False
+    return BandedOperator(_freeze(matrix), p)
 
 
 def identity_operator(N: int, *, exact: bool = False) -> BandedOperator:
@@ -226,7 +183,7 @@ def identity_operator(N: int, *, exact: bool = False) -> BandedOperator:
         )
     else:
         matrix = np.eye(N)
-    return BandedOperator(_freeze(matrix), 0, None)
+    return BandedOperator(_freeze(matrix))
 
 
 def l1_distance(f: Density, g: Density) -> float:
@@ -249,7 +206,7 @@ def project_parity(f: Density, side: Side) -> np.ndarray:
     project_parity(f, "odd")`` reproduces ``f.values`` exactly.
     """
     if side not in ("even", "odd"):
-        raise ValueError(f"side must be 'even' or 'odd', got {side!r}")
+        raise ValidationError(f"side must be 'even' or 'odd', got {side!r}")
     out = f.values.copy()
     zero = Fraction(0) if f.exact else 0.0
     start = 1 if side == "even" else 0
@@ -268,14 +225,11 @@ def apply(M: BandedOperator, f: Density) -> Density:
 def power(M: BandedOperator, k: int) -> BandedOperator:
     """k-th composition power; k = 0 gives the identity."""
     if k < 0 or k != int(k):
-        raise ValueError(f"power requires an integer k >= 0, got {k!r}")
+        raise ValidationError(f"power requires an integer k >= 0, got {k!r}")
     if k == 0:
         return identity_operator(M.N, exact=M.exact)
     if M.exact:
-        result = np.array(
-            [[Fraction(1) if r == s else Fraction(0) for s in range(M.N)] for r in range(M.N)],
-            dtype=object,
-        )
+        result = identity_operator(M.N, exact=True).matrix
         base = M.matrix
         e = int(k)
         while e > 0:
@@ -286,9 +240,7 @@ def power(M: BandedOperator, k: int) -> BandedOperator:
         matrix = result
     else:
         matrix = np.linalg.matrix_power(M.matrix, int(k))
-    return BandedOperator(
-        _freeze(matrix), min(M.bandwidth * int(k), M.N - 1), M.p
-    )
+    return BandedOperator(_freeze(matrix), M.p)
 
 
 def classify_parity(M: BandedOperator) -> ParityClass:

@@ -12,8 +12,11 @@ class SelmerLabError(Exception):
     """Base class for all errors raised by selmerlab."""
 
 
-class ValidationError(SelmerLabError):
-    """Input data violates a documented precondition."""
+class ValidationError(SelmerLabError, ValueError):
+    """Input data violates a documented precondition.
+
+    Also a ``ValueError``, so callers that catch the builtin still work.
+    """
 
 
 class NumericError(SelmerLabError):
@@ -38,10 +41,6 @@ class InvalidPrime(ValidationError):
 
 class DegenerateConfig(ValidationError):
     """A stream or rate configuration admits no valid draws."""
-
-
-class InvalidT(ValidationError):
-    """A localization dimension t outside 0 <= t <= min(i, rank)."""
 
 
 class InfeasibleFan(ValidationError):

@@ -12,7 +12,7 @@ over a fan and letting X grow collapses onto the k-th power of the
 governing operator applied to the empty-level distribution; in this
 synthetic model the one-step kernels are exact, so the collapse is an
 algebraic identity in exact mode and a measurable residual in
-sampled mode.
+sampled mode; :func:`fan_collapse` is the one pipeline that runs it.
 
 Norm products overflow any fixed-width float for modest m, so bounds
 and norms are compared in the log domain throughout.
@@ -56,6 +56,7 @@ __all__ = [
     "enumerate_levels",
     "level_rank_distribution",
     "fan_distribution",
+    "fan_collapse",
     "fan_collapse_residual",
     "mixture_bound_check",
     "fan_union_distribution",
@@ -189,10 +190,6 @@ def width_pattern(m: int, k: int) -> tuple[int, int]:
     return n1, n2
 
 
-def _greedy_minimal(pool1, n1, pool2, n2) -> Level:
-    return make_level(pool1[:n1] + pool2[:n2])
-
-
 def _sample_levels_stats(stream, spec, count, rng):
     """Rejection-sample levels; also return proposal statistics.
 
@@ -223,7 +220,8 @@ def _sample_levels_stats(stream, spec, count, rng):
     if (
         len(pool1) < n1
         or len(pool2) < n2
-        or not level_membership(_greedy_minimal(pool1, n1, pool2, n2), spec)
+        # the smallest-norm level passes if any level does
+        or not level_membership(make_level(pool1[:n1] + pool2[:n2]), spec)
     ):
         raise EmptyFan(
             f"no level in this stream satisfies (m, k, X) = "
@@ -330,15 +328,13 @@ def fan_distribution(
     *,
     walks: int = 100_000,
     sampler: TStepSampler | None = None,
-    threads: int = 1,
 ) -> Density:
     """Equal-weight average of the level distributions.
 
     Equal weights are correct because every level of a fixed fan has
     the same number of sites, hence the same twist-fiber cardinality.
     In sampled mode the walk budget is split evenly across levels and
-    each level gets its own spawned RNG substream.  ``threads`` is
-    accepted for compatibility and ignored: levels run serially.
+    each level gets its own spawned RNG substream.
     """
     if not levels:
         raise EmptyFan("fan average over an empty list of levels")
@@ -357,6 +353,34 @@ def fan_distribution(
     return _density_unchecked(np.mean(stack, axis=0))
 
 
+def fan_collapse(
+    spec: FanSpec,
+    stream,
+    initial: Density,
+    mode: Mode,
+    p: int,
+    rng: np.random.Generator,
+    *,
+    levels: int = 30,
+    walks: int = 100_000,
+    y: float | None = None,
+) -> tuple[Density, Density]:
+    """The fan pipeline: (fan average, governed target M_L**k initial).
+
+    Samples ``levels`` levels of the fan, then (sampled mode) seeds a
+    ``TStepSampler`` at cutoff y from ``rng``, then averages the level
+    distributions.  The fan side goes through the twist-process kernels
+    (or sampled walks); the target side is the k-th matrix power of the
+    Lagrangian operator, so the two sides are independent constructions.
+    """
+    sampled = sample_levels(stream, spec, levels, rng)
+    sampler = None
+    if mode == "sampled_at_Y":
+        sampler = TStepSampler(p, y, seed=int(rng.integers(2**62)))
+    fan = fan_distribution(sampled, initial, mode, p, rng, walks=walks, sampler=sampler)
+    return fan, apply(_cached_power(p, initial.N, spec.k), initial)
+
+
 def fan_collapse_residual(
     spec: FanSpec,
     stream,
@@ -368,25 +392,15 @@ def fan_collapse_residual(
     levels: int = 30,
     walks: int = 100_000,
     y: float | None = None,
-    sampler: TStepSampler | None = None,
-    threads: int = 1,
 ) -> float:
     """l1 gap between the fan average and the governed power M_L**k.
 
-    The fan side goes through the twist-process kernels (or sampled
-    walks); the target side is the k-th matrix power of the Lagrangian
-    operator, so the two sides are independent constructions.  Exact
-    mode should sit at rounding level; sampled mode shrinks as the
-    cutoff y grows.
+    Exact mode should sit at rounding level; sampled mode shrinks as
+    the cutoff y grows.  See :func:`fan_collapse` for the pipeline.
     """
-    sampled = sample_levels(stream, spec, levels, rng)
-    if mode == "sampled_at_Y" and sampler is None:
-        sampler = TStepSampler(p, y, seed=int(rng.integers(2**62)))
-    fan = fan_distribution(
-        sampled, initial, mode, p, rng, walks=walks, sampler=sampler, threads=threads
+    return l1_distance(
+        *fan_collapse(spec, stream, initial, mode, p, rng, levels=levels, walks=walks, y=y)
     )
-    target = apply(_cached_power(p, initial.N, spec.k), initial)
-    return l1_distance(fan, target)
 
 
 def mixture_bound_check(
@@ -430,7 +444,6 @@ def fan_union_distribution(
     levels_per_slice: int = 30,
     walks: int = 100_000,
     y: float | None = None,
-    threads: int = 1,
 ) -> Density:
     """Average over the union of fans with fixed total width k.
 
@@ -462,8 +475,7 @@ def fan_union_distribution(
     total_weight = 0.0
     for levels, weight in slices:
         dist = fan_distribution(
-            levels, initial, mode, p, rng,
-            walks=walks_per_slice, sampler=sampler, threads=threads,
+            levels, initial, mode, p, rng, walks=walks_per_slice, sampler=sampler
         )
         total = total + weight * dist.as_float()
         total_weight += weight

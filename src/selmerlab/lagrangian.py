@@ -42,7 +42,7 @@ from .distributions import (
     make_density,
     rho_parity,
 )
-from .errors import InvalidPrime, NoConvergence
+from .errors import InvalidPrime, NoConvergence, ValidationError
 
 __all__ = [
     "LagrangianParams",
@@ -79,9 +79,9 @@ class LagrangianParams:
         if not _is_prime(self.p):
             raise InvalidPrime(f"p = {self.p} is not prime")
         if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
+            raise ValidationError(f"N must be >= 2, got {self.N}")
         if self.tail_terms < 50:
-            raise ValueError(f"tail_terms must be >= 50, got {self.tail_terms}")
+            raise ValidationError(f"tail_terms must be >= 50, got {self.tail_terms}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def build_lagrangian(params: LagrangianParams, *, exact: bool = False) -> Banded
             # so the row stays stochastic and parity-reversing.
             matrix[r, r - 1] += up
     # Entries sit on |r - s| = 1 only; the boundary fold lands on r - 1.
-    return BandedOperator(_freeze(matrix), 1, p)
+    return BandedOperator(_freeze(matrix), p)
 
 
 def _exact_prefactor(p: int, tail_terms: int) -> Fraction:
@@ -199,7 +199,7 @@ def iterate_limit(
 def predicted_limit(f: Density, power_parity: Side, params: LagrangianParams) -> Density:
     """The limit (1-rho)E+ + rho E- of even powers, swapped for odd powers."""
     if power_parity not in ("even", "odd"):
-        raise ValueError(f"power_parity must be 'even' or 'odd', got {power_parity!r}")
+        raise ValidationError(f"power_parity must be 'even' or 'odd', got {power_parity!r}")
     rho = rho_parity(f)
     pair = equilibrium(params)
     if power_parity == "odd":

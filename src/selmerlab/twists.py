@@ -20,6 +20,8 @@ keep exactly the statistics that matter:
 
 Composing the two laws gives the exact one-step kernels: width 1
 reproduces the Lagrangian operator M_L and width 2 reproduces M_L**2.
+On the rank window a step that would leave it folds down two ranks,
+in the exact kernels and in the sampled walks alike.
 That identity is the whole point, and it is built here by an
 independent route (table times conditional law, never a matrix power)
 so the two constructions can be compared.
@@ -42,24 +44,15 @@ from .distributions import (
     _density_unchecked,
     _freeze,
 )
-from .errors import (
-    DegenerateConfig,
-    InvalidPrime,
-    InvalidT,
-    TruncationMismatch,
-    ValidationError,
-)
+from .errors import DegenerateConfig, InvalidPrime, ValidationError
 from .lagrangian import _is_prime
 
 __all__ = [
     "S3_WIDTH_DENSITIES",
     "PrimeSite",
     "StreamConfig",
-    "RankWalkState",
     "synth_prime_stream",
     "t_distribution",
-    "sample_t",
-    "twist_step",
     "exact_step_kernel",
     "TStepSampler",
     "sample_transitions",
@@ -129,26 +122,6 @@ class StreamConfig:
         )
 
 
-@dataclass(frozen=True)
-class RankWalkState:
-    """Current rank plus its parity, tracked redundantly as a cross-check."""
-
-    rank: int
-    parity_check: int
-
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValidationError(f"rank must be >= 0, got {self.rank}")
-        if self.parity_check != self.rank % 2:
-            raise ValidationError(
-                f"parity_check {self.parity_check} disagrees with rank {self.rank}"
-            )
-
-    @classmethod
-    def at(cls, rank: int) -> "RankWalkState":
-        return cls(rank, rank % 2)
-
-
 def synth_prime_stream(config: StreamConfig, X: float) -> list[PrimeSite]:
     """Generate the synthetic primes of norm < X, sorted by norm.
 
@@ -201,55 +174,25 @@ def t_distribution(i: int, r: int, p: int, *, exact: bool = False):
     return np.array([float(x) for x in row])
 
 
-def sample_t(i: int, r: int, p: int, rng: np.random.Generator) -> int:
-    """One draw of t from the exact row."""
-    return int(rng.choice(i + 1, p=t_distribution(i, r, p)))
-
-
-def twist_step(
-    state: RankWalkState,
-    i: int,
-    t: int,
-    p: int,
-    rng: np.random.Generator | None = None,
-) -> RankWalkState:
-    """Rank update after twisting at one prime of width i with drawn t.
-
-    Width 1 always flips the parity, width 2 never does; both facts are
-    carried through parity_check.  The only random branch is width 2
-    with t = 0, where the rank rises by 2 with probability 1/p (the p-1
-    rank-raising characters among the p(p-1) in the fiber).
-    """
-    if t < 0 or t > i:
-        raise InvalidT(f"t = {t} outside 0..{i}")
-    if t > state.rank:
-        raise InvalidT(f"t = {t} exceeds current rank {state.rank}")
-    if i == 1:
-        new_rank = state.rank - 1 if t == 1 else state.rank + 1
-        return RankWalkState(new_rank, (state.parity_check + 1) % 2)
-    if i == 2:
-        if t == 2:
-            new_rank = state.rank - 2
-        elif t == 1:
-            new_rank = state.rank
-        else:
-            if rng is None:
-                raise ValidationError("width-2 step with t = 0 needs an rng")
-            new_rank = state.rank + 2 if rng.random() < 1.0 / p else state.rank
-        return RankWalkState(new_rank, state.parity_check)
-    raise ValidationError(f"width i must be 1 or 2, got {i}")
-
-
-def _compose(i: int, r: int, row, p_inv) -> list[tuple[int, object]]:
+def _compose(i: int, r: int, row, p_inv, N: int) -> list[tuple[int, object]]:
     # The one place the (i, t) -> rank law meets a t-row: the nonzero
-    # (target rank, probability) pairs of one kernel row.  Exact rows
-    # pass p_inv = Fraction(1, p); float and sampler rows pass 1 / p.
+    # (target rank, probability) pairs of one kernel row on the window
+    # {0, ..., N-1}.  Exact rows pass p_inv = Fraction(1, p); float and
+    # sampler rows pass 1 / p.  A target at or above N folds down two
+    # ranks at a time, which keeps parity; folded pairs are not merged,
+    # so a target can repeat.
     if i == 1:
         pairs = ((r - 1, row[1]), (r + 1, row[0]))
     else:
         up = row[0] * p_inv
         pairs = ((r - 2, row[2]), (r, row[1] + (row[0] - up)), (r + 2, up))
-    return [(target, mass) for target, mass in pairs if mass]
+    out = []
+    for target, mass in pairs:
+        if mass:
+            while target >= N:
+                target -= 2
+            out.append((target, mass))
+    return out
 
 
 def exact_step_kernel(i: int, p: int, N: int, *, exact: bool = False) -> BandedOperator:
@@ -268,12 +211,9 @@ def exact_step_kernel(i: int, p: int, N: int, *, exact: bool = False) -> BandedO
         matrix = np.zeros((N, N))
     for r in range(N):
         row = t_distribution(i, r, p, exact=True)
-        for target, mass in _compose(i, r, row, Fraction(1, p)):
-            while target >= N:
-                target -= 2
-            value = mass if exact else float(mass)
-            matrix[r, target] += value
-    return BandedOperator(_freeze(matrix), bandwidth=2 * i, p=p)
+        for target, mass in _compose(i, r, row, Fraction(1, p), N):
+            matrix[r, target] += mass if exact else float(mass)
+    return BandedOperator(_freeze(matrix), p=p)
 
 
 class TStepSampler:
@@ -378,7 +318,9 @@ def simulate_walks(
     Each walk starts at a rank drawn from ``initial`` and takes one
     twist step per width-i entry, its t drawn from ``sampler.row(i, r)``
     (or the exact row when there is no sampler).  The result is the
-    bin-count density on the same rank window.
+    bin-count density on the same rank window.  A walk that would leave
+    the window folds down two ranks, exactly as ``exact_step_kernel``
+    folds its top rows.
 
     Only that histogram is returned, so the engine propagates rank
     counts instead of walks.  The start histogram of W i.i.d. draws is
@@ -394,18 +336,14 @@ def simulate_walks(
     if walks < 1:
         raise ValidationError(f"walks must be >= 1, got {walks}")
     pvals = initial.as_float()
-    pvals = pvals / pvals.sum()
-    ceiling = int(np.nonzero(pvals)[0].max()) + sum(widths)
-    if ceiling >= initial.N:
-        raise TruncationMismatch(
-            f"walk ceiling {ceiling} would leave the rank window N = {initial.N}"
-        )
     sampler = sampler or TStepSampler(p)
-    counts = rng.multinomial(walks, pvals)
+    counts = rng.multinomial(walks, pvals / pvals.sum())
     for i in widths:
         nxt = np.zeros_like(counts)
         for r in np.flatnonzero(counts).tolist():
-            targets, masses = zip(*_compose(i, r, sampler.row(i, r), 1.0 / p))
-            nxt[list(targets)] += rng.multinomial(counts[r], masses)
+            pairs = _compose(i, r, sampler.row(i, r), 1.0 / p, initial.N)
+            targets, masses = zip(*pairs)
+            # Folded targets can repeat; add.at accumulates every copy.
+            np.add.at(nxt, list(targets), rng.multinomial(counts[r], masses))
         counts = nxt
     return _density_unchecked(counts / walks)

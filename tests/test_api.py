@@ -1,0 +1,50 @@
+"""Guards on the public surface: exports resolve and the demos run."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import selmerlab as sl
+from selmerlab import errors
+
+MODULES = ("distributions", "lagrangian", "twists", "fans", "disparity")
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"selmerlab.{name}")
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_package_reexports_resolve():
+    # every package-level name is a module's public name, as the same object
+    # errors has no __all__: every exception class in it is public
+    exported = {a: v for a, v in vars(errors).items() if isinstance(v, type)}
+    for name in MODULES:
+        module = importlib.import_module(f"selmerlab.{name}")
+        exported.update({attr: getattr(module, attr) for attr in module.__all__})
+    public = [
+        attr for attr, value in vars(sl).items()
+        if not attr.startswith("_") and not isinstance(value, type(sl))
+    ]
+    assert public
+    for attr in public:
+        assert attr in exported, attr
+        assert getattr(sl, attr) is exported[attr], attr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    src = str(Path(sl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr

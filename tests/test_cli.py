@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import selmerlab as sl
@@ -167,6 +168,48 @@ def test_fans_with_disparity_table(tmp_path, capsys):
     assert payload["footer"]["delta"] == pytest.approx(0.2)
     assert payload["footer"]["residual_finite"] < 1e-12
     assert payload["columns"] == ["n", "fan", "finite", "limit"]
+
+
+def test_fans_residual_is_the_library_pipeline(tmp_path, capsys):
+    # the CLI no-table path and fan_collapse_residual share one pipeline
+    seed, N, k = 5, 32, 3
+    spec = fans_spec(tmp_path, mode="sampled", walks=4000, Y=100.0, seed=seed)
+    code, out, err = run(["fans", spec, "--format", "json"], capsys)
+    assert code == 0
+    footer = json.loads(out)["footer"]["residual"]
+    args = (
+        sl.FanSpec.from_rate(sl.ConvergenceRate("power", 1.0, 2.0), 2, k, 10.0),
+        sl.synth_prime_stream(sl.StreamConfig(seed=seed), 2000.0),
+        sl.make_density([1.0], N),
+        "sampled_at_Y",
+        2,
+    )
+    kwargs = {"levels": 5, "walks": 4000, "y": 100.0}
+    residual = sl.fan_collapse_residual(*args, np.random.default_rng(seed), **kwargs)
+    pair = sl.fan_collapse(*args, np.random.default_rng(seed), **kwargs)
+    for value in (residual, sl.l1_distance(*pair)):
+        assert float(f"{value:.15g}") == footer
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "-N", "1"],
+        ["iterate", "--steps", "-1"],
+        ["iterate", "--initial", "delta-1"],
+        ["iterate", "--initial", "deltax"],
+        ["iterate", "--initial", "0.5,x"],
+        ["avg-rank", "--grid", "1"],
+        ["avg-rank", "--grid", "-3"],
+        ["avg-rank", "--deltas", "0.1,0.1"],
+        ["avg-rank", "--deltas", "0.1,x"],
+    ],
+)
+def test_bad_input_exits_one(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_disparity_command(tmp_path, capsys):

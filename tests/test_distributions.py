@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import selmerlab as sl
-from selmerlab.distributions import Density
 
 
 P2 = sl.LagrangianParams(2, 64)
@@ -38,13 +37,6 @@ def test_make_density_zero_pads():
     f = sl.make_density([0.25, 0.75], 8)
     assert f.N == 8
     assert f.values[2:].sum() == 0.0
-
-
-def test_density_json_round_trip():
-    f = sl.make_density([0.25, 0.25, 0.5], 5)
-    g = Density.from_json(f.to_json())
-    assert g.N == f.N
-    assert sl.l1_distance(f, g) == 0.0
 
 
 def test_l1_distance_basics():
@@ -123,7 +115,9 @@ def test_power_two_row_one():
     direct = M.matrix @ M.matrix
     assert np.abs(M2.matrix - direct).max() < 1e-15
     assert sl.classify_parity(M2) is sl.ParityClass.PRESERVING
-    assert M2.bandwidth == 2
+    # band of width 2: nothing off the five central diagonals
+    r, s = np.indices(M2.matrix.shape)
+    assert np.all(M2.matrix[np.abs(r - s) > 2] == 0.0)
     for r in range(64):
         assert M2.matrix[r].sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -150,14 +144,6 @@ def test_make_operator_validation():
         sl.make_operator([[1.5, -0.5], [0.0, 1.0]])
     with pytest.raises(sl.TruncationMismatch):
         sl.make_operator(np.ones((2, 3)) / 3.0)
-
-
-def test_operator_json_round_trip():
-    M = sl.build_lagrangian(sl.LagrangianParams(3, 6))
-    back = sl.BandedOperator.from_json(M.to_json())
-    assert back.N == M.N
-    assert back.bandwidth == M.bandwidth
-    assert np.abs(back.matrix - M.matrix).max() == 0.0
 
 
 def test_parity_laws_for_classified_operators():

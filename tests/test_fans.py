@@ -259,19 +259,6 @@ def test_fan_distribution_exact_is_slotwise_mean():
         sl.fan_distribution([], init, "exact_kernel", p)
 
 
-def test_fan_distribution_thread_count_does_not_matter():
-    p = 2
-    init = make_initial()
-    levels = [w1_level(3.0 + j) for j in range(6)]
-    a = sl.fan_distribution(
-        levels, init, "sampled_at_Y", p, np.random.default_rng(7), walks=6000, threads=1
-    )
-    b = sl.fan_distribution(
-        levels, init, "sampled_at_Y", p, np.random.default_rng(7), walks=6000, threads=4
-    )
-    assert np.array_equal(a.values, b.values)
-
-
 def test_fan_collapse_residual_exact_is_zero():
     rng = np.random.default_rng(8)
     stream = default_stream()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selmerlab as sl
-from selmerlab.twists import TStepSampler
+from selmerlab.twists import TStepSampler, sample_transitions
 
 
 def default_config(seed=0):
@@ -117,65 +117,62 @@ def test_t_distribution_exact_rows_sum_to_one():
     assert exact[1] == Fraction(8, 9)
 
 
+# One twist step (draw t, then update the rank) is drawn through
+# sample_transitions, the vectorized per-draw route.
+
+
 def test_sample_t_point_masses():
     rng = np.random.default_rng(0)
-    assert all(sl.sample_t(1, 0, 2, rng) == 0 for _ in range(50))
-    # i = 2, r = 0 forces t = 0 as well
-    assert all(sl.sample_t(2, 0, 2, rng) == 0 for _ in range(50))
+    # i = 1, r = 0 forces t = 0, so the rank rises to 1
+    assert np.all(sample_transitions(1, 0, 2, 50, rng) == 1)
+    # i = 2, r = 0 forces t = 0 as well: the rank never falls
+    assert set(sample_transitions(2, 0, 2, 50, rng).tolist()) <= {0, 2}
 
 
 def test_sample_t_frequencies():
     rng = np.random.default_rng(1)
     draws = 100_000
-    counts = [0, 0]
-    for _ in range(draws):
-        counts[sl.sample_t(1, 2, 2, rng)] += 1
+    out = sample_transitions(1, 2, 2, draws, rng)
     sigma = math.sqrt(0.25 * 0.75 / draws)
-    assert abs(counts[0] / draws - 0.25) < 5 * sigma
-    assert abs(counts[1] / draws - 0.75) < 5 * sigma
+    # t = 0 (probability 1/4) raises the rank, t = 1 lowers it
+    assert abs(np.mean(out == 3) - 0.25) < 5 * sigma
+    assert abs(np.mean(out == 1) - 0.75) < 5 * sigma
 
 
 def test_twist_step_width_one():
-    s = sl.RankWalkState(3, 1)
-    assert sl.twist_step(s, 1, 1, 2).rank == 2
-    assert sl.twist_step(s, 1, 0, 2).rank == 4
-    # width 1 always flips the tracked parity
-    assert sl.twist_step(s, 1, 0, 2).parity_check == 0
+    out = sample_transitions(1, 3, 2, 2000, np.random.default_rng(2))
+    assert set(out.tolist()) == {2, 4}
 
 
 def test_twist_step_width_two():
-    rng = np.random.default_rng(2)
-    s = sl.RankWalkState(4, 0)
-    assert sl.twist_step(s, 2, 2, 2, rng).rank == 2
-    assert sl.twist_step(s, 2, 1, 2, rng).rank == 4
-    ups = sum(sl.twist_step(s, 2, 0, 2, rng).rank == 6 for _ in range(20_000))
-    sigma = math.sqrt(0.5 * 0.5 / 20_000)
-    assert abs(ups / 20_000 - 0.5) < 5 * sigma
+    # from rank 0 a width-2 step draws t = 0, then rises by 2 with
+    # probability 1/p (the p-1 raising characters among p(p-1))
+    draws = 20_000
+    for p in (2, 3):
+        out = sample_transitions(2, 0, p, draws, np.random.default_rng(p))
+        assert set(out.tolist()) <= {0, 2}
+        sigma = math.sqrt((1 / p) * (1 - 1 / p) / draws)
+        assert abs(np.mean(out == 2) - 1 / p) < 5 * sigma
+    out = sample_transitions(2, 4, 2, 2000, np.random.default_rng(4))
+    assert set(out.tolist()) <= {2, 4, 6}
 
 
 def test_twist_step_validation():
-    s = sl.RankWalkState(1, 1)
-    with pytest.raises(sl.InvalidT):
-        sl.twist_step(s, 1, 2, 2)
-    with pytest.raises(sl.InvalidT):
-        sl.twist_step(sl.RankWalkState(1, 1), 2, 2, 2, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
     with pytest.raises(sl.ValidationError):
-        sl.twist_step(s, 2, 0, 2)  # rng required for the 1/p branch
+        sample_transitions(3, 1, 2, 10, rng)  # width outside {1, 2}
     with pytest.raises(sl.ValidationError):
-        sl.RankWalkState(-1, 0)
-    with pytest.raises(sl.ValidationError):
-        sl.RankWalkState(2, 1)  # parity disagrees with the rank
+        sample_transitions(1, -1, 2, 10, rng)  # negative rank
+    with pytest.raises(sl.InvalidPrime):
+        sample_transitions(2, 1, 6, 10, rng)
 
 
 def test_twist_step_parity_rule():
     # width 1 flips rank parity, width 2 preserves it
     rng = np.random.default_rng(3)
     for r in range(0, 6):
-        s = sl.RankWalkState.at(r)
-        for t in range(0, min(1, r) + 1):
-            assert sl.twist_step(s, 1, t, 2).rank % 2 == (r + 1) % 2
-        for t in range(0, min(2, r) + 1):
-            assert sl.twist_step(s, 2, t, 2, rng).rank % 2 == r % 2
+        assert np.all(sample_transitions(1, r, 2, 2000, rng) % 2 == (r + 1) % 2)
+        assert np.all(sample_transitions(2, r, 2, 2000, rng) % 2 == r % 2)
 
 
 def test_exact_step_kernel_width_one_is_the_operator():
@@ -276,12 +273,17 @@ def test_simulate_walks_against_kernel_product():
     assert np.abs(out.values - expect).max() < 5.0 / math.sqrt(walks)
 
 
-def test_simulate_walks_ceiling_guard():
-    # from the top of a tiny window a width-2 site can escape upward
+def test_simulate_walks_folds_at_window_edge():
+    # from the top of a tiny window a width-2 site would escape upward;
+    # the walks fold back exactly as the exact kernels do
+    p, walks = 2, 10**8
     init = sl.make_density([0.0, 0.0, 1.0], 3)
-    rng = np.random.default_rng(11)
-    with pytest.raises(sl.TruncationMismatch):
-        sl.simulate_walks([2] * 8, init, 2, 2000, rng)
+    out = sl.simulate_walks(
+        [2] * 8, init, p, walks, np.random.default_rng(11), TStepSampler(p)
+    )
+    K2 = sl.exact_step_kernel(2, p, 3).matrix
+    expect = init.values @ np.linalg.matrix_power(K2, 8)
+    assert np.abs(out.values - expect).max() < 5.0 / math.sqrt(walks)
 
 
 def test_simulate_walks_rejects_bad_walk_counts():
