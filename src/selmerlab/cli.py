@@ -107,7 +107,10 @@ def _emit(payload: dict, args) -> None:
 def _parse_initial(spec: str, N: int) -> Density:
     if spec.startswith("@"):
         with open(spec[1:]) as handle:
-            return make_density(json.loads(handle.read())["values"], N)
+            data = json.loads(handle.read())
+        if not isinstance(data, dict) or "values" not in data:
+            raise ValidationError(f"--initial {spec} needs a JSON object with 'values'")
+        return make_density(data["values"], N)
     if spec.startswith("delta"):
         digits = spec[len("delta"):]
         if not digits.isdecimal():
@@ -181,9 +184,19 @@ def cmd_iterate(args):
     return payload, payload["footer"], 0
 
 
+def _spec_number(data: dict, key: str, kind, default=None):
+    value = data.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"field {key!r} needs a number, got {value!r}") from None
+
+
 def _load_fan_spec(path: str) -> dict:
     with open(path) as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValidationError("experiment spec must be a JSON object")
     known = {
         "m", "k", "X", "rate", "mode", "Y", "walks", "seed", "levels",
         "threshold", "stream", "table", "orientation", "p", "N",
@@ -197,11 +210,15 @@ def _load_fan_spec(path: str) -> dict:
 def _parse_rate(data) -> ConvergenceRate:
     if data is None:
         return ConvergenceRate("power", 1.0, 2.0)
+    if not isinstance(data, dict):
+        raise ValidationError("experiment field 'rate' must be a JSON object")
     unknown = set(data) - {"family", "C", "a"}
     if unknown:
         raise ValidationError(f"unknown rate fields: {sorted(unknown)}")
     return ConvergenceRate(
-        data.get("family", "power"), float(data.get("C", 1.0)), float(data.get("a", 2.0))
+        data.get("family", "power"),
+        _spec_number(data, "C", float, 1.0),
+        _spec_number(data, "a", float, 2.0),
     )
 
 
@@ -210,22 +227,29 @@ def cmd_fans(args):
     for field in ("m", "k", "X"):
         if field not in data:
             raise ValidationError(f"experiment spec is missing {field!r}")
-    m, k, X = int(data["m"]), int(data["k"]), float(data["X"])
+    m, k = _spec_number(data, "m", int), _spec_number(data, "k", int)
+    X = _spec_number(data, "X", float)
     rate = _parse_rate(data.get("rate"))
     mode_name = data.get("mode", "exact")
     if mode_name not in _MODES:
         raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode_name!r}")
     mode = _MODES[mode_name]
-    p, N = int(data.get("p", 2)), int(data.get("N", 64))
-    y = float(data.get("Y", 1000.0))
-    walks = int(data.get("walks", 100_000))
-    levels = int(data.get("levels", 30))
-    seed = int(data.get("seed", args.seed))
+    p, N = _spec_number(data, "p", int, 2), _spec_number(data, "N", int, 64)
+    y = _spec_number(data, "Y", float, 1000.0)
+    walks = _spec_number(data, "walks", int, 100_000)
+    levels = _spec_number(data, "levels", int, 30)
+    seed = _spec_number(data, "seed", int, args.seed)
     threshold = data.get("threshold")
+    if threshold is not None:
+        threshold = _spec_number(data, "threshold", float)
     rng = np.random.default_rng(seed)
 
-    stream_data = dict(data.get("stream") or {})
-    stream_X = float(stream_data.pop("X", 2000.0))
+    stream_data = data.get("stream") or {}
+    if not isinstance(stream_data, dict):
+        raise ValidationError("experiment field 'stream' must be a JSON object")
+    stream_data = dict(stream_data)
+    stream_X = _spec_number(stream_data, "X", float, 2000.0)
+    stream_data.pop("X", None)
     stream_data.setdefault("seed", seed)
     config = StreamConfig.from_json_dict(stream_data)
 
@@ -280,7 +304,7 @@ def cmd_fans(args):
         }
 
     code = 0
-    if threshold is not None and residual > float(threshold):
+    if threshold is not None and residual > threshold:
         code = 2
     return payload, payload["footer"], code
 

@@ -17,6 +17,18 @@ determined by the start's parity mass.  This module constructs the
 operator, evaluates the constants (exactly, then rounded once), and
 realizes the convergence claim both predictively and by iteration.
 
+Each float c_n is the correctly rounded value of the exact rational
+pref * q_n, with pref the prefactor product cut at ``tail_terms``
+factors.  ``c_constants`` gets it from plain integers: a fixed-point
+bracket lo <= pref * 2**K <= hi (K = 128 guard bits), whose product
+stops once p**j exceeds 2**(K + 20) because the remaining factors move
+it by less than one unit, and one correctly rounded int division per
+end.  Rounding to nearest is monotone, so when both ends round to the
+same double that double is the exact answer; otherwise the Fraction
+product ``_exact_prefactor(p, tail_terms) * q_n`` is rounded instead.
+``_exact_prefactor`` and ``c_partial_products`` stay as that fallback
+and as the reference the tests compare against bit for bit.
+
 Truncation: everything lives on ranks {0, ..., N-1}; the out-of-window
 mass of the last row is folded two steps down so rows stay stochastic.
 Since c_n decays like p**(-n(n+1)/2), the fold is far below double
@@ -54,6 +66,10 @@ __all__ = [
     "iterate_limit",
     "predicted_limit",
 ]
+
+
+# Fixed-point bits of the integer prefactor bracket in c_constants.
+_GUARD_BITS = 128
 
 
 def _is_prime(n: int) -> bool:
@@ -148,10 +164,45 @@ def c_partial_products(p: int, N: int) -> list[Fraction]:
 
 
 def c_constants(params: LagrangianParams) -> np.ndarray:
-    """The constants c_0, ..., c_{N-1}, each rounded once from an exact rational."""
-    pref = _exact_prefactor(params.p, params.tail_terms)
-    partials = c_partial_products(params.p, params.N)
-    return np.array([float(pref * q) for q in partials])
+    """The constants c_0, ..., c_{N-1}, each rounded once from an exact rational.
+
+    Each value is ``float(_exact_prefactor(p, tail_terms) * q_n)`` bit
+    for bit, with q_n = a_n / b_n from ``c_partial_products``, but is
+    found with plain integers.  The prefactor product stops once p**j
+    has more than K + 20 bits (K = ``_GUARD_BITS``): the skipped factors
+    shrink it by a relative 2**-(K + 19) at most, under one unit of
+    pref * 2**K < 2**K, so lo = max(0, floor - 1) and hi = floor + 1
+    bracket pref * 2**K.  Int true division is correctly rounded and
+    rounding to nearest is monotone, so when lo * a_n / (b_n << K) and
+    hi * a_n / (b_n << K) agree, that double is the rounding of the
+    exact c_n.  When they differ (never seen at K = 128), the Fraction
+    product is rounded instead.
+    """
+    p, K = params.p, _GUARD_BITS
+    num = den = 1
+    power_of_p = 1
+    for _ in range(params.tail_terms):
+        power_of_p *= p
+        num *= power_of_p
+        den *= power_of_p + 1
+        if power_of_p.bit_length() > K + 20:
+            break
+    lo0 = (num << K) // den
+    lo, hi = max(0, lo0 - 1), lo0 + 1
+    out = np.empty(params.N)
+    pref = None
+    q_num = q_den = 1
+    for n in range(params.N):
+        if n:
+            q_num *= p
+            q_den *= q_num - 1
+        d = q_den << K
+        out[n] = lo * q_num / d
+        if out[n] != hi * q_num / d:
+            if pref is None:
+                pref = _exact_prefactor(p, params.tail_terms)
+            out[n] = float(pref * Fraction(q_num, q_den))
+    return out
 
 
 def equilibrium(params: LagrangianParams) -> EquilibriumPair:

@@ -115,11 +115,13 @@ class StreamConfig:
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown stream fields: {sorted(unknown)}")
-        return cls(
-            width_densities=tuple(data.get("densities", S3_WIDTH_DENSITIES)),
-            growth_rate=float(data.get("growth_rate", 1.0)),
-            seed=int(data.get("seed", 0)),
-        )
+        try:
+            densities = tuple(float(d) for d in data.get("densities", S3_WIDTH_DENSITIES))
+            growth_rate = float(data.get("growth_rate", 1.0))
+            seed = int(data.get("seed", 0))
+        except (TypeError, ValueError):
+            raise ValidationError(f"stream fields need numbers, got {data!r}") from None
+        return cls(width_densities=densities, growth_rate=growth_rate, seed=seed)
 
 
 def synth_prime_stream(config: StreamConfig, X: float) -> list[PrimeSite]:

@@ -191,6 +191,14 @@ def test_fans_residual_is_the_library_pipeline(tmp_path, capsys):
         assert float(f"{value:.15g}") == footer
 
 
+class JsonFile:
+    """An argv slot that becomes the path of a JSON file holding ``data``."""
+
+    def __init__(self, data, prefix=""):
+        self.data = data
+        self.prefix = prefix
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -203,9 +211,36 @@ def test_fans_residual_is_the_library_pipeline(tmp_path, capsys):
         ["avg-rank", "--grid", "-3"],
         ["avg-rank", "--deltas", "0.1,0.1"],
         ["avg-rank", "--deltas", "0.1,x"],
+        ["iterate", "--initial", JsonFile({}, prefix="@")],
+        ["fans", JsonFile({"m": "x", "k": 3, "X": 10.0})],
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "stream": {"X": "big"}})],
+        ["disparity", JsonFile({"rank_of_trivial": 0})],
+        [
+            "disparity",
+            JsonFile({
+                "rank_of_trivial": 0,
+                "places": [{"id": "a", "characters": [{"h_parity": 0}]}],
+            }),
+        ],
+        ["iterate", "--initial", JsonFile([1.0], prefix="@")],
+        ["fans", JsonFile(5)],
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "rate": {"C": "x"}})],
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "rate": []})],
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "stream": [1]})],
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "stream": {"densities": 5}})],
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "stream": {"densities": ["a"] * 3}})],
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "stream": {"growth_rate": "x"}})],
+        ["disparity", JsonFile({"rank_of_trivial": "x", "places": []})],
+        ["disparity", JsonFile({"rank_of_trivial": 0, "places": 5})],
     ],
 )
-def test_bad_input_exits_one(argv, capsys):
+def test_bad_input_exits_one(argv, tmp_path, capsys):
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, JsonFile):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(json.dumps(arg.data))
+            argv[i] = arg.prefix + str(path)
     code, out, err = run(argv, capsys)
     assert code == 1
     assert out == ""

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selmerlab as sl
 from selmerlab.disparity import (
@@ -195,15 +197,19 @@ def test_average_rank_is_affine():
     )
 
 
-def test_average_rank_from_parity_sums():
-    # direct computation from the constants: (A + B)/2 + delta (B - A)
-    params = sl.LagrangianParams(2, 64)
-    c = sl.c_constants(params)
+@settings(max_examples=40, deadline=None, database=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), delta=st.floats(-0.5, 0.5))
+def test_average_rank_from_parity_sums(p, delta):
+    # the module docstring's law, from the constants: odd_heavy is
+    # (A + B)/2 + delta (B - A), even_heavy flips the sign of delta
+    c = sl.c_constants(sl.LagrangianParams(p, 64))
     n = np.arange(64)
     a = float(np.sum(n[0::2] * c[0::2]))
     b = float(np.sum(n[1::2] * c[1::2]))
-    assert sl.average_rank(0.0) == pytest.approx((a + b) / 2, abs=1e-12)
-    assert sl.average_rank(0.2) == pytest.approx((a + b) / 2 + 0.2 * (b - a), abs=1e-12)
+    odd = sl.average_rank(delta, p, orientation="odd_heavy")
+    even = sl.average_rank(delta, p, orientation="even_heavy")
+    assert odd == pytest.approx((a + b) / 2 + delta * (b - a), abs=1e-12)
+    assert even == pytest.approx((a + b) / 2 - delta * (b - a), abs=1e-12)
 
 
 def test_pairs_with_equal_parity_masses_share_limits():

@@ -4,8 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selmerlab as sl
+from selmerlab import lagrangian
+from selmerlab.lagrangian import _exact_prefactor
+
+
+def fraction_constants(p, N, tail_terms):
+    # the reference: each c_n rounded once from its exact rational
+    pref = _exact_prefactor(p, tail_terms)
+    return np.array([float(pref * q) for q in sl.c_partial_products(p, N)])
 
 
 def test_params_validation():
@@ -46,6 +56,48 @@ def test_c_constant_base_value():
     assert consts[0] == pytest.approx(0.41942244179510757, abs=1e-15)
     # c_1 = c_0 * p / (p - 1) = 2 c_0 at p = 2
     assert consts[1] == pytest.approx(2.0 * consts[0], rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 101])
+@pytest.mark.parametrize("tail_terms", [50, 200])
+def test_c_constants_bit_identical_to_fractions(p, tail_terms):
+    for N in (2, 12, 32, 64, 128):
+        got = sl.c_constants(sl.LagrangianParams(p, N, tail_terms))
+        assert got.tobytes() == fraction_constants(p, N, tail_terms).tobytes()
+
+
+PRIMES_TO_101 = [q for q in range(2, 102) if all(q % d for d in range(2, q))]
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    p=st.sampled_from(PRIMES_TO_101),
+    N=st.integers(2, 128),
+    tail_terms=st.integers(50, 250),
+)
+def test_c_constants_matches_fractions_property(p, N, tail_terms):
+    got = sl.c_constants(sl.LagrangianParams(p, N, tail_terms))
+    assert got.tobytes() == fraction_constants(p, N, tail_terms).tobytes()
+
+
+@pytest.mark.parametrize("guard_bits", [1, 8])
+def test_c_constants_fallback_is_exact(guard_bits, monkeypatch):
+    # a bracket this coarse cannot settle some c_n in every call, so the
+    # Fraction fallback runs (its prefactor built once per call), and the
+    # result must not change; at 1 bit the lower end clamps to 0
+    calls = []
+
+    def counting(p, tail_terms):
+        calls.append(p)
+        return _exact_prefactor(p, tail_terms)
+
+    monkeypatch.setattr(lagrangian, "_GUARD_BITS", guard_bits)
+    monkeypatch.setattr(lagrangian, "_exact_prefactor", counting)
+    for p in (2, 3, 7, 101):
+        for N in (12, 64):
+            got = sl.c_constants(sl.LagrangianParams(p, N))
+            assert got.tobytes() == fraction_constants(p, N, 200).tobytes()
+    assert calls == [2, 2, 3, 3, 7, 7, 101, 101]
 
 
 def test_c_partial_products_ratios():
