@@ -9,9 +9,8 @@ fans         fan-averaging experiment from a JSON spec
 disparity    per-place and global disparity, limit density, mean rank
 avg-rank     mean rank over a disparity grid with an affine fit
 
-Global flags (after the subcommand): ``--seed``, ``--threads``,
-``--out``, ``--format {csv,json}``.  ``--threads`` (fallback
-``SELMER_LAB_THREADS``) is accepted for compatibility and ignored.
+Global flags (after the subcommand): ``--seed``, ``--out``,
+``--format {csv,json}``.  Every run is serial.
 
 Determinism contract: the numeric artifact (the ``--out`` file, or
 stdout when ``--out`` is absent) depends only on the spec and the seed;
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -188,7 +186,7 @@ def _spec_number(data: dict, key: str, kind, default=None):
     value = data.get(key, default)
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"field {key!r} needs a number, got {value!r}") from None
 
 
@@ -242,6 +240,8 @@ def cmd_fans(args):
     threshold = data.get("threshold")
     if threshold is not None:
         threshold = _spec_number(data, "threshold", float)
+        if np.isnan(threshold):
+            raise ValidationError("field 'threshold' needs a number, got NaN")
     rng = np.random.default_rng(seed)
 
     stream_data = data.get("stream") or {}
@@ -351,10 +351,6 @@ def cmd_avg_rank(args):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("SELMER_LAB_THREADS", "1")),
-    )
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -430,7 +426,6 @@ def main(argv=None) -> int:
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
-        "threads": args.threads,
         "format": args.format,
         "out": args.out,
         "wall_time_s": time.perf_counter() - started,

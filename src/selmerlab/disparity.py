@@ -116,23 +116,6 @@ class DisparityTable:
                 f"rank_of_trivial must be >= 0, got {self.rank_of_trivial}"
             )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rank_of_trivial": self.rank_of_trivial,
-                "places": [
-                    {
-                        "id": place.id,
-                        "characters": [
-                            {"h_parity": ch.h_parity, "delta_value": ch.delta_value}
-                            for ch in place.characters
-                        ],
-                    }
-                    for place in self.places
-                ],
-            }
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "DisparityTable":
         data = _fields(json.loads(text), "table", ("rank_of_trivial", "places"))
@@ -172,7 +155,7 @@ def _list(value, what: str) -> list:
 def _int(value, what: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
@@ -217,7 +200,7 @@ def initial_from_disparity(delta: float, support_cap: int) -> InitialPair:
     with the same parity masses has the same limits, which is what makes
     the choice harmless.
     """
-    if abs(delta) > 0.5:
+    if not abs(delta) <= 0.5:
         raise DisparityOutOfRange(f"|delta| must be <= 1/2, got {delta}")
     e1_plus = make_density([0.5 + delta, 0.5 - delta], support_cap)
     e1_minus = make_density([0.5 - delta, 0.5 + delta], support_cap)
@@ -246,7 +229,7 @@ def limit_distribution(
     ``odd_heavy`` puts (1/2 + delta) c_r on odd r and (1/2 - delta) c_r
     on even r; ``even_heavy`` swaps the coefficients.
     """
-    if abs(delta) > 0.5:
+    if not abs(delta) <= 0.5:
         raise DisparityOutOfRange(f"|delta| must be <= 1/2, got {delta}")
     if orientation not in ("odd_heavy", "even_heavy"):
         raise ValidationError(f"unknown orientation {orientation!r}")
@@ -273,13 +256,11 @@ def average_rank(
 
 @dataclass(frozen=True)
 class FanExperimentReport:
-    """End-to-end run: the fan average and its two reference residuals."""
+    """End-to-end run: the global delta, the fan average, its two
+    references (finite width-k law and delta-only limit) and the l1
+    residual to each."""
 
     delta: float
-    m: int
-    k: int
-    mode: Mode
-    orientation: Orientation
     fan: Density
     finite: Density
     limit: Density
@@ -330,10 +311,6 @@ def end_to_end_fan_experiment(
     limit = limit_distribution(delta, p, N, orientation)
     return FanExperimentReport(
         delta=delta,
-        m=m,
-        k=k,
-        mode=mode,
-        orientation=orientation,
         fan=fan,
         finite=finite,
         limit=limit,

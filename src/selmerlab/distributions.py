@@ -71,10 +71,10 @@ def _coerce_vector(raw) -> np.ndarray:
 
 
 def _validate_probability_vector(values: np.ndarray, tol: float, what: str) -> None:
-    if any(v < 0 for v in values.tolist()):
-        raise NegativeEntry(f"{what} has a negative entry")
+    if not all(v >= 0 for v in values.tolist()):
+        raise NegativeEntry(f"{what} has a negative or NaN entry")
     total = values.sum()
-    if abs(float(total) - 1.0) > tol:
+    if not abs(float(total) - 1.0) <= tol:
         raise NotNormalized(f"{what} sums to {float(total)!r}, not 1 within {tol}")
 
 
@@ -141,12 +141,10 @@ class BandedOperator:
 
     The operators built here are banded (nonzero only near the
     diagonal), but the band is a property of the zero pattern, not a
-    stored field.  ``p`` is an optional prime tag recording which
-    modulus the operator was built for; it is metadata only.
+    stored field; the matrix is the only field.
     """
 
     matrix: np.ndarray
-    p: int | None = None
 
     @property
     def N(self) -> int:
@@ -160,19 +158,19 @@ class BandedOperator:
         return self.matrix.astype(float)
 
 
-def make_operator(matrix, p: int | None = None, *, tol: float = TOL_NORM) -> BandedOperator:
+def make_operator(matrix) -> BandedOperator:
     """Validate a square row-stochastic matrix and wrap it.
 
     Object arrays (Fraction entries) stay exact; anything else becomes
-    float64.  Raises ``NegativeEntry`` / ``NotNormalized`` on invalid
-    rows.
+    float64.  Raises ``NegativeEntry`` / ``NotNormalized`` on a row that
+    is not a probability vector within ``TOL_NORM``.
     """
     matrix = np.array(matrix, dtype=object if _is_exact(np.asarray(matrix)) else float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise TruncationMismatch(f"operator matrix must be square, got {matrix.shape}")
     for r in range(matrix.shape[0]):
-        _validate_probability_vector(matrix[r], tol, f"operator row {r}")
-    return BandedOperator(_freeze(matrix), p)
+        _validate_probability_vector(matrix[r], TOL_NORM, f"operator row {r}")
+    return BandedOperator(_freeze(matrix))
 
 
 def identity_operator(N: int, *, exact: bool = False) -> BandedOperator:
@@ -240,7 +238,7 @@ def power(M: BandedOperator, k: int) -> BandedOperator:
         matrix = result
     else:
         matrix = np.linalg.matrix_power(M.matrix, int(k))
-    return BandedOperator(_freeze(matrix), M.p)
+    return BandedOperator(_freeze(matrix))
 
 
 def classify_parity(M: BandedOperator) -> ParityClass:

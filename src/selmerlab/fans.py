@@ -85,7 +85,7 @@ class ConvergenceRate:
     def __post_init__(self) -> None:
         if self.family not in ("power", "exponential"):
             raise ValidationError(f"unknown rate family {self.family!r}")
-        if self.coeff < 1.0 or self.exponent < 1.0:
+        if not (self.coeff >= 1.0 and self.exponent >= 1.0):
             raise ValidationError(
                 f"rate requires C >= 1 and a >= 1, got C={self.coeff}, a={self.exponent}"
             )
@@ -108,7 +108,7 @@ def strat_bounds(rate: ConvergenceRate, m: int, X: float) -> tuple[float, ...]:
     One extra bound beyond the m slots is kept so a further prime can
     be appended to a full level in the averaging experiments.
     """
-    if X < 1.0:
+    if not X >= 1.0:
         raise ValidationError(f"X must be >= 1, got {X}")
     if m < 0 or m > 1000:
         raise ValidationError(f"m must be in 0..1000, got {m}")
@@ -152,10 +152,6 @@ class Level:
     @property
     def width(self) -> int:
         return sum(site.width for site in self.sites)
-
-    @property
-    def log_norm(self) -> float:
-        return sum(math.log(site.norm) for site in self.sites)
 
 
 def make_level(sites) -> Level:

@@ -135,7 +135,7 @@ def build_lagrangian(params: LagrangianParams, *, exact: bool = False) -> Banded
             # so the row stays stochastic and parity-reversing.
             matrix[r, r - 1] += up
     # Entries sit on |r - s| = 1 only; the boundary fold lands on r - 1.
-    return BandedOperator(_freeze(matrix), p)
+    return BandedOperator(_freeze(matrix))
 
 
 def _exact_prefactor(p: int, tail_terms: int) -> Fraction:
@@ -223,13 +223,10 @@ def equilibrium(params: LagrangianParams) -> EquilibriumPair:
 
 
 def iterate_limit(
-    M: BandedOperator,
-    f: Density,
-    max_steps: int = 10_000,
-    tol_stop: float = 1e-10,
+    M: BandedOperator, f: Density, max_steps: int = 10_000
 ) -> tuple[Density, int]:
     """Iterate M two applications at a time until successive even
-    iterates are within ``tol_stop`` in l1.
+    iterates are within ``TOL_TAIL`` (1e-10) in l1.
 
     Returns the final density and the number of double steps taken
     (0 when ``f`` is already a fixed point of M**2).  The even-step
@@ -239,11 +236,11 @@ def iterate_limit(
     current = f
     for step in range(max_steps + 1):
         after = apply(M, apply(M, current))
-        if l1_distance(after, current) < tol_stop:
+        if l1_distance(after, current) < TOL_TAIL:
             return current, step
         current = after
     raise NoConvergence(
-        f"no fixed point of M^2 within {max_steps} double steps at tol {tol_stop}"
+        f"no fixed point of M^2 within {max_steps} double steps at tol {TOL_TAIL}"
     )
 
 

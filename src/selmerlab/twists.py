@@ -33,6 +33,7 @@ inequality the averaging bounds assume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,19 +96,12 @@ class StreamConfig:
 
     def __post_init__(self) -> None:
         d = self.width_densities
-        if len(d) != 3 or any(x < 0 for x in d):
+        if len(d) != 3 or not all(x >= 0 for x in d):
             raise DegenerateConfig(f"width densities must be 3 non-negative values, got {d}")
-        if abs(sum(d) - 1.0) > 1e-12:
+        if not abs(sum(d) - 1.0) <= 1e-12:
             raise DegenerateConfig(f"width densities sum to {sum(d)}, not 1")
         if not d[2] > 0:
             raise DegenerateConfig("d_2 must be positive (width-2 primes always exist)")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "densities": list(self.width_densities),
-            "growth_rate": self.growth_rate,
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StreamConfig":
@@ -119,7 +113,7 @@ class StreamConfig:
             densities = tuple(float(d) for d in data.get("densities", S3_WIDTH_DENSITIES))
             growth_rate = float(data.get("growth_rate", 1.0))
             seed = int(data.get("seed", 0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"stream fields need numbers, got {data!r}") from None
         return cls(width_densities=densities, growth_rate=growth_rate, seed=seed)
 
@@ -134,8 +128,11 @@ def synth_prime_stream(config: StreamConfig, X: float) -> list[PrimeSite]:
     across cutoffs: two calls with the same config agree on every site
     below the smaller X.
     """
-    if config.growth_rate <= 0:
-        raise DegenerateConfig(f"growth_rate must be > 0, got {config.growth_rate}")
+    # An infinite rate or cutoff would never end the loop below.
+    if not 0 < config.growth_rate < math.inf:
+        raise DegenerateConfig(f"growth_rate must be > 0 and finite, got {config.growth_rate}")
+    if not X < math.inf:
+        raise ValidationError(f"stream cutoff X must be finite, got {X}")
     rng = np.random.default_rng(config.seed)
     sites: list[PrimeSite] = []
     position = 1.0
@@ -215,7 +212,7 @@ def exact_step_kernel(i: int, p: int, N: int, *, exact: bool = False) -> BandedO
         row = t_distribution(i, r, p, exact=True)
         for target, mass in _compose(i, r, row, Fraction(1, p), N):
             matrix[r, target] += mass if exact else float(mass)
-    return BandedOperator(_freeze(matrix), p=p)
+    return BandedOperator(_freeze(matrix))
 
 
 class TStepSampler:
@@ -231,7 +228,7 @@ class TStepSampler:
     """
 
     def __init__(self, p: int, y: float | None = None, seed: int = 0):
-        if y is not None and y < 2.0:
+        if y is not None and not y >= 2.0:
             raise ValidationError(f"cutoff y must be >= 2, got {y}")
         self.p = p
         self.y = y
@@ -294,16 +291,11 @@ def _update_ranks(
 
 
 def sample_transitions(
-    i: int,
-    r: int,
-    p: int,
-    count: int,
-    rng: np.random.Generator,
-    sampler: TStepSampler | None = None,
+    i: int, r: int, p: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``count`` one-step outcomes from fixed rank r (vectorized)."""
-    row = sampler.row(i, r) if sampler is not None else t_distribution(i, r, p)
-    ts = rng.choice(i + 1, size=count, p=row)
+    """``count`` one-step outcomes from fixed rank r (vectorized), t drawn
+    from the exact row ``t_distribution(i, r, p)``."""
+    ts = rng.choice(i + 1, size=count, p=t_distribution(i, r, p))
     return _update_ranks(i, r, ts, p, rng)
 
 

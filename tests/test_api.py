@@ -48,3 +48,25 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_nan_rejected_by_library_guards():
+    # NaN fails every `x < bound` test, so each guard is an in-range test
+    nan = float("nan")
+    rate = sl.ConvergenceRate("power", 1.0, 2.0)
+    with pytest.raises(sl.NegativeEntry):
+        sl.make_density([nan, 1.0])
+    with pytest.raises(sl.ValidationError):
+        sl.ConvergenceRate("power", nan)
+    with pytest.raises(sl.ValidationError):
+        sl.strat_bounds(rate, 2, nan)
+    with pytest.raises(sl.ValidationError):
+        sl.TStepSampler(2, nan)
+    with pytest.raises(sl.DegenerateConfig):
+        sl.StreamConfig((nan, 0.5, 0.5))
+    with pytest.raises(sl.DegenerateConfig, match="growth_rate"):
+        sl.synth_prime_stream(sl.StreamConfig(growth_rate=nan), 10.0)
+    with pytest.raises(sl.DisparityOutOfRange):
+        sl.initial_from_disparity(nan, 8)
+    with pytest.raises(sl.DisparityOutOfRange):
+        sl.limit_distribution(nan, 2)

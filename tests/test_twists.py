@@ -80,9 +80,9 @@ def test_stream_config_validation():
 
 
 def test_stream_config_json_round_trip():
-    cfg = sl.StreamConfig((0.25, 0.25, 0.5), 2.0, 11)
-    back = sl.StreamConfig.from_json_dict(cfg.to_json_dict())
-    assert back == cfg
+    data = {"densities": [0.25, 0.25, 0.5], "growth_rate": 2.0, "seed": 11}
+    back = sl.StreamConfig.from_json_dict(data)
+    assert back == sl.StreamConfig((0.25, 0.25, 0.5), 2.0, 11)
     with pytest.raises(sl.ValidationError):
         sl.StreamConfig.from_json_dict({"densities": [1, 0, 0], "extra": 1})
 
