@@ -407,9 +407,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         payload, summary, code = args.func(args)
         _emit(payload, args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

@@ -226,19 +226,7 @@ def power(M: BandedOperator, k: int) -> BandedOperator:
         raise ValidationError(f"power requires an integer k >= 0, got {k!r}")
     if k == 0:
         return identity_operator(M.N, exact=M.exact)
-    if M.exact:
-        result = identity_operator(M.N, exact=True).matrix
-        base = M.matrix
-        e = int(k)
-        while e > 0:
-            if e & 1:
-                result = np.dot(result, base)
-            base = np.dot(base, base)
-            e >>= 1
-        matrix = result
-    else:
-        matrix = np.linalg.matrix_power(M.matrix, int(k))
-    return BandedOperator(_freeze(matrix))
+    return BandedOperator(_freeze(np.linalg.matrix_power(M.matrix, int(k))))
 
 
 def classify_parity(M: BandedOperator) -> ParityClass:

@@ -14,6 +14,9 @@ synthetic model the one-step kernels are exact, so the collapse is an
 algebraic identity in exact mode and a measurable residual in
 sampled mode; :func:`fan_collapse` is the one pipeline that runs it.
 
+Fan sizes are exact integers: the bounds cut the norm-sorted sites
+into a few blocks, and counting how many width-1 and width-2 sites a
+level takes from each block gives |D(m, k, X)| and a uniform sampler.
 Norm products overflow any fixed-width float for modest m, so bounds
 and norms are compared in the log domain throughout.
 """
@@ -21,8 +24,10 @@ and norms are compared in the log domain throughout.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, product
 from typing import Literal
 
 import numpy as np
@@ -65,7 +70,6 @@ __all__ = [
 
 Mode = Literal["exact_kernel", "sampled_at_Y"]
 
-_PROPOSAL_CAP = 500_000
 _ENUMERATION_CAP = 2_000_000
 
 
@@ -113,9 +117,12 @@ def strat_bounds(rate: ConvergenceRate, m: int, X: float) -> tuple[float, ...]:
     if m < 0 or m > 1000:
         raise ValidationError(f"m must be in 0..1000, got {m}")
     log_x = math.log(X)
-    logs = [rate.log_value(log_x)]
-    for n in range(1, m + 1):
-        logs.append(max(rate.log_value(sum(logs[:n])), log_x + logs[n - 1]))
+    try:
+        logs = [rate.log_value(log_x)]
+        for n in range(1, m + 1):
+            logs.append(max(rate.log_value(sum(logs[:n])), log_x + logs[n - 1]))
+    except OverflowError as exc:
+        raise ValidationError(f"stratification bounds overflow: {exc}") from None
     return tuple(logs)
 
 
@@ -186,74 +193,91 @@ def width_pattern(m: int, k: int) -> tuple[int, int]:
     return n1, n2
 
 
-def _sample_levels_stats(stream, spec, count, rng):
-    """Rejection-sample levels; also return proposal statistics.
+def _fan_table(stream, spec):
+    """Exact count of the fan, split into blocks: (blocks, moves, size).
 
-    Proposals draw n1 width-1 sites and n2 width-2 sites uniformly from
-    the pools below the largest bound, so acceptance is uniform over the
-    fan; (levels, proposals, superset_size) supports estimating the fan
-    size as superset_size * accepted / proposals.
+    With the positive-width sites sorted by (norm, id), slot j's bound
+    becomes a cut index cut_j: a sorted level lies in the fan exactly
+    when at least j + 1 of its sites sit below cut_j.  The distinct cuts
+    split the sites into blocks of width-1 and width-2 sites (ones,
+    twos).  ``moves[i][(a, b)]`` lists (cumulative weight, x, y): take x
+    ones and y twos from block i after a ones and b twos, weighted by
+    the number of levels that choice completes.
     """
-    if count < 0:
-        raise ValidationError(f"count must be >= 0, got {count}")
     n1, n2 = width_pattern(spec.m, spec.k)
-    if spec.m == 0:
-        return [make_level(())] * count, count, 1
-    all1 = [s for s in stream if s.width == 1]
-    all2 = [s for s in stream if s.width == 2]
-    if len(all1) < n1 or len(all2) < n2:
-        raise InfeasibleFan(
-            f"stream has {len(all1)} width-1 and {len(all2)} width-2 sites; "
-            f"(m, k) = ({spec.m}, {spec.k}) needs {n1} and {n2}"
-        )
-    cutoff = spec.log_bounds[spec.m - 1]
-    pool1 = sorted(
-        (s for s in all1 if math.log(s.norm) < cutoff), key=lambda s: s.norm
-    )
-    pool2 = sorted(
-        (s for s in all2 if math.log(s.norm) < cutoff), key=lambda s: s.norm
-    )
-    if (
-        len(pool1) < n1
-        or len(pool2) < n2
-        # the smallest-norm level passes if any level does
-        or not level_membership(make_level(pool1[:n1] + pool2[:n2]), spec)
-    ):
-        raise EmptyFan(
-            f"no level in this stream satisfies (m, k, X) = "
-            f"({spec.m}, {spec.k}, {spec.X})"
-        )
-    superset = math.comb(len(pool1), n1) * math.comb(len(pool2), n2)
-    levels: list[Level] = []
-    proposals = 0
-    while len(levels) < count:
-        proposals += 1
-        if proposals > _PROPOSAL_CAP:
-            raise EmptyFan(
-                f"acceptance below {count / _PROPOSAL_CAP:.2e} sampling "
-                f"(m, k) = ({spec.m}, {spec.k}); fan is effectively empty"
-            )
-        picks = []
-        if n1:
-            picks.extend(pool1[j] for j in rng.choice(len(pool1), size=n1, replace=False))
-        if n2:
-            picks.extend(pool2[j] for j in rng.choice(len(pool2), size=n2, replace=False))
-        candidate = make_level(picks)
-        if level_membership(candidate, spec):
-            levels.append(candidate)
-    return levels, proposals, superset
+    sites = sorted((s for s in stream if s.width), key=lambda s: (s.norm, s.id))
+    logs = [math.log(s.norm) for s in sites]
+    cuts = [bisect_left(logs, b) for b in spec.log_bounds[: spec.m]]
+    edges = sorted(set(cuts))
+    blocks = [
+        ([s for s in sites[lo:hi] if s.width == 1], [s for s in sites[lo:hi] if s.width == 2])
+        for lo, hi in zip([0] + edges, edges)
+    ]
+    moves: list[dict] = []
+    counts = {(n1, n2): 1}
+    for (ones, twos), edge in zip(reversed(blocks), reversed(edges)):
+        need = bisect_right(cuts, edge)  # sites the level must have below edge
+        rows = {}
+        for a, b in product(range(n1 + 1), range(n2 + 1)):
+            row, total = [], 0
+            for x in range(min(len(ones), n1 - a) + 1):
+                for y in range(max(0, need - a - b - x), min(len(twos), n2 - b) + 1):
+                    weight = counts.get((a + x, b + y), 0)
+                    if weight:
+                        total += math.comb(len(ones), x) * math.comb(len(twos), y) * weight
+                        row.append((total, x, y))
+            if row:
+                rows[(a, b)] = row
+        moves.insert(0, rows)
+        counts = {state: row[-1][0] for state, row in rows.items()}
+    return blocks, moves, counts.get((0, 0), 0)
+
+
+def _draw(table, count: int, rng: np.random.Generator) -> list[Level]:
+    blocks, moves = table[:2]
+    levels = []
+    for _ in range(count):
+        a, b, picks = 0, 0, []
+        for (ones, twos), rows in zip(blocks, moves):
+            row = rows[(a, b)]
+            u = total = row[-1][0]
+            bits = total.bit_length()
+            while u >= total:  # uniform below total from whole bytes
+                u = int.from_bytes(rng.bytes((bits + 7) // 8), "little") >> (-bits % 8)
+            _, x, y = next(entry for entry in row if entry[0] > u)
+            if x:
+                picks.extend(ones[j] for j in rng.choice(len(ones), x, replace=False))
+            if y:
+                picks.extend(twos[j] for j in rng.choice(len(twos), y, replace=False))
+            a, b = a + x, b + y
+        levels.append(make_level(picks))
+    return levels
 
 
 def sample_levels(stream, spec: FanSpec, count: int, rng: np.random.Generator) -> list[Level]:
-    """Draw ``count`` levels uniformly from the fan (with replacement)."""
-    levels, _, _ = _sample_levels_stats(stream, spec, count, rng)
-    return levels
+    """Draw ``count`` levels uniformly from the fan (with replacement).
+
+    Each draw walks the blocks of the exact count table, choosing the
+    width counts (x, y) in proportion to the levels that complete them,
+    then x width-1 and y width-2 sites of the block uniformly.
+    """
+    if count < 0:
+        raise ValidationError(f"count must be >= 0, got {count}")
+    table = _fan_table(stream, spec)
+    if not table[2]:
+        n1, n2 = width_pattern(spec.m, spec.k)
+        if sum(s.width == 1 for s in stream) < n1 or sum(s.width == 2 for s in stream) < n2:
+            raise InfeasibleFan(
+                f"(m, k) = ({spec.m}, {spec.k}) needs {n1} width-1 and {n2} width-2 sites"
+            )
+        raise EmptyFan(
+            f"no level in this stream satisfies (m, k, X) = ({spec.m}, {spec.k}, {spec.X})"
+        )
+    return _draw(table, count, rng)
 
 
 def enumerate_levels(stream, spec: FanSpec) -> list[Level]:
     """All members of the fan, for small streams (<= 200 sites)."""
-    from itertools import combinations
-
     if len(stream) > 200:
         raise ValidationError(
             f"enumeration is limited to streams of <= 200 sites, got {len(stream)}"
@@ -339,7 +363,9 @@ def fan_distribution(
         return _density_unchecked(np.mean(stack, axis=0))
     if rng is None:
         raise ValidationError("sampled mode needs an rng")
-    walks_per_level = max(1, walks // len(levels))
+    if walks < len(levels):
+        raise ValidationError(f"need a walk per level, got {walks} for {len(levels)} levels")
+    walks_per_level = walks // len(levels)
     stack = [
         level_rank_distribution(
             level, initial, mode, p, child, walks=walks_per_level, sampler=sampler
@@ -445,10 +471,9 @@ def fan_union_distribution(
 
     Feasible slice sizes are ceil(k/2) <= m <= min(k, m_max); slices the
     stream cannot realize are skipped.  Slices are weighted by their
-    estimated fan sizes (proposal superset size times acceptance rate).
-    In exact mode every slice gives the same distribution, so the
-    weights are irrelevant there, which is part of the point being
-    verified.
+    exact fan sizes.  In exact mode every slice gives the same
+    distribution, so the weights are irrelevant there, which is part of
+    the point being verified.
     """
     sampler = None
     if mode == "sampled_at_Y":
@@ -456,26 +481,21 @@ def fan_union_distribution(
     slices = []
     for m in range((k + 1) // 2, min(k, m_max) + 1) if k > 0 else [0]:
         spec = FanSpec.from_rate(rate, m, k, X)
-        try:
-            levels, proposals, superset = _sample_levels_stats(
-                stream, spec, levels_per_slice, rng
-            )
-        except (InfeasibleFan, EmptyFan):
-            continue
-        weight = superset * (len(levels) / proposals)
-        slices.append((levels, weight))
+        table = _fan_table(stream, spec)
+        if table[2]:
+            slices.append((_draw(table, levels_per_slice, rng), table[2]))
     if not slices:
         raise EmptyFan(f"no feasible fan slice for k = {k} with m <= {m_max}")
-    walks_per_slice = max(1, walks // len(slices))
+    walks_per_slice = walks // len(slices)
+    union_size = sum(size for _, size in slices)
     total = np.zeros(initial.N)
-    total_weight = 0.0
-    for levels, weight in slices:
+    for levels, size in slices:
         dist = fan_distribution(
             levels, initial, mode, p, rng, walks=walks_per_slice, sampler=sampler
         )
-        total = total + weight * dist.as_float()
-        total_weight += weight
-    return _density_unchecked(total / total_weight)
+        # int / int is correctly rounded even where the sizes overflow a float
+        total = total + (size / union_size) * dist.as_float()
+    return _density_unchecked(total)
 
 
 def step_average_gap(

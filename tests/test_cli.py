@@ -246,6 +246,14 @@ class JsonFile:
         ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "stream": {"growth_rate": 1e400}})],
         ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "stream": {"X": 1e400}})],
         ["disparity", JsonFile({"rank_of_trivial": 1e400, "places": []})],
+        # exp(exp(log 10)) overflows while the bounds are built
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10, "rate": {"family": "exponential", "a": 5}})],
+        # a sampled run needs at least one walk per level
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "mode": "sampled", "walks": 0})],
+        [
+            "fans",
+            JsonFile({"m": 2, "k": 3, "X": 10.0, "mode": "sampled", "walks": 29, "levels": 30}),
+        ],
     ],
 )
 def test_bad_input_exits_one(argv, tmp_path, capsys):

@@ -129,6 +129,17 @@ def test_power_exact_backend_matches():
     assert all(row.sum() == 1 for row in M2.matrix)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_power_exact_equals_repeated_dot(p):
+    M = sl.build_lagrangian(sl.LagrangianParams(p, 12), exact=True)
+    expect = sl.identity_operator(12, exact=True).matrix
+    for k in range(10):
+        got = sl.power(M, k).matrix
+        assert all(isinstance(v, Fraction) for v in got.flat)
+        assert np.array_equal(got, expect)
+        expect = np.dot(expect, M.matrix)
+
+
 def test_classify_parity():
     M = sl.build_lagrangian(P2)
     assert sl.classify_parity(sl.identity_operator(8)) is sl.ParityClass.PRESERVING

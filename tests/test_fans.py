@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2
 
 import selmerlab as sl
-from selmerlab.fans import FanSpec, Level, make_level, width_pattern
+from selmerlab.fans import FanSpec, Level, _fan_table, make_level, width_pattern
 
 
 SQUARE = sl.ConvergenceRate("power", coeff=1.0, exponent=2.0)
@@ -52,6 +55,10 @@ def test_strat_bounds_recursion():
         sl.strat_bounds(SQUARE, 2, 0.5)
     with pytest.raises(sl.ValidationError):
         sl.strat_bounds(SQUARE, -1, 10.0)
+    # R(Y) = exp(5 Y) at X = 10: log L_1 = 50 and log L_2 = 5 exp(50), so
+    # log L_3 = 5 exp(50 + 5 exp(50)) overflows
+    with pytest.raises(sl.ValidationError):
+        sl.strat_bounds(sl.ConvergenceRate("exponential", 1.0, 5.0), 2, 10.0)
 
 
 def test_strat_bounds_linear_rate():
@@ -197,6 +204,67 @@ def test_enumeration_agrees_with_sampling_support():
     assert all(lv.sites in member_set for lv in sampled)
 
 
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    cells=st.lists(
+        st.tuples(
+            # a few fixed values so that norm ties occur
+            st.one_of(st.floats(0.1, 30.0), st.sampled_from([2.0, 4.6, 9.2])),
+            st.integers(0, 2),
+        ),
+        max_size=14,
+    ),
+    m=st.integers(0, 4),
+    extra=st.integers(0, 4),
+    X=st.floats(1.0, 100.0),
+    exponent=st.sampled_from([1.0, 1.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_fan_size_and_draws_property(cells, m, extra, X, exponent, seed):
+    stream = [site(j, math.exp(log_norm), w) for j, (log_norm, w) in enumerate(cells)]
+    k = m + min(extra, m)
+    spec = FanSpec.from_rate(sl.ConvergenceRate("power", 1.0, exponent), m, k, X)
+    members = {lv.sites for lv in sl.enumerate_levels(stream, spec)}
+    assert _fan_table(stream, spec)[2] == len(members)
+    if members:
+        n1, n2 = width_pattern(m, k)
+        for lv in sl.sample_levels(stream, spec, 10, np.random.default_rng(seed)):
+            assert sl.level_membership(lv, spec) and lv.sites in members
+            assert sum(1 for s in lv.sites if s.width == 1) == n1
+            assert sum(1 for s in lv.sites if s.width == 2) == n2
+
+
+def test_sample_levels_is_uniform_chi_squared():
+    # norms 1.7**j straddle the bounds 100, 1e4, 1e12: three blocks
+    stream = [site(j, 1.7 ** (j + 1), 1 + (j % 2)) for j in range(20)]
+    spec = FanSpec.from_rate(SQUARE, 3, 4, 10.0)
+    members = [lv.sites for lv in sl.enumerate_levels(stream, spec)]
+    assert _fan_table(stream, spec)[2] == len(members) == 352
+    draws = 20_000
+    counts = dict.fromkeys(members, 0)
+    for lv in sl.sample_levels(stream, spec, draws, np.random.default_rng(15)):
+        counts[lv.sites] += 1
+    observed = np.array(list(counts.values()), dtype=float)
+    assert observed.min() > 0 and len(counts) == len(members)
+    expected = draws / len(members)
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2.sf(stat, df=len(members) - 1) > 1e-4
+
+
+def test_sample_levels_sparse_fan_in_a_large_pool():
+    # only sites 5 and 500 fit slots 1 and 2, so all 5000 members share
+    # them; 5002 sites lie below L_3 = 1e12, so a uniform proposal from
+    # that pool lands in the fan with probability about 2.4e-7
+    stream = [site(0, 5.0, 1), site(1, 500.0, 1)]
+    stream += [site(2 + j, 2.0e4 + j, 1) for j in range(5000)]
+    spec = FanSpec.from_rate(SQUARE, 3, 3, 10.0)
+    assert _fan_table(stream, spec)[2] == 5000
+    levels = sl.sample_levels(stream, spec, 30, np.random.default_rng(16))
+    assert all(sl.level_membership(lv, spec) for lv in levels)
+    assert all(lv.sites[:2] == (stream[0], stream[1]) for lv in levels)
+    assert len({lv.sites for lv in levels}) > 25
+
+
 def make_initial(N=24):
     return sl.make_density([0.5, 0.5], N)
 
@@ -256,6 +324,17 @@ def test_fan_distribution_exact_is_slotwise_mean():
     assert np.abs(out.values - expect).max() < 1e-15
     with pytest.raises(sl.EmptyFan):
         sl.fan_distribution([], init, "exact_kernel", p)
+
+
+def test_fan_distribution_needs_a_walk_per_level():
+    init = make_initial()
+    levels = [w1_level(3.0)] * 3
+    rng = np.random.default_rng(7)
+    for walks in (0, 2):
+        with pytest.raises(sl.ValidationError):
+            sl.fan_distribution(levels, init, "sampled_at_Y", 2, rng, walks=walks)
+    out = sl.fan_distribution(levels, init, "sampled_at_Y", 2, rng, walks=3)
+    assert out.values.sum() == pytest.approx(1.0)
 
 
 def test_fan_collapse_residual_exact_is_zero():
