@@ -237,6 +237,8 @@ def cmd_fans(args):
     walks = _spec_number(data, "walks", int, 100_000)
     levels = _spec_number(data, "levels", int, 30)
     seed = _spec_number(data, "seed", int, args.seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     threshold = data.get("threshold")
     if threshold is not None:
         threshold = _spec_number(data, "threshold", float)

@@ -27,8 +27,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Literal
+from itertools import combinations
+from operator import itemgetter
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,13 @@ from .errors import (
     ValidationError,
 )
 from .lagrangian import LagrangianParams, build_lagrangian
-from .twists import PrimeSite, TStepSampler, exact_step_kernel, simulate_walks
+from .twists import (
+    PrimeSite,
+    PrimeStream,
+    TStepSampler,
+    exact_step_kernel,
+    simulate_walks,
+)
 
 __all__ = [
     "ConvergenceRate",
@@ -193,64 +200,113 @@ def width_pattern(m: int, k: int) -> tuple[int, int]:
     return n1, n2
 
 
-def _fan_table(stream, spec):
-    """Exact count of the fan, split into blocks: (blocks, moves, size).
+def _site_arrays(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, norms, widths) of a stream's sites, sorted by (norm, id).
+
+    A :class:`PrimeStream` is already in that order with ids 0..n-1;
+    any other sequence of sites is copied into arrays and sorted.
+    """
+    if isinstance(stream, PrimeStream):
+        return np.arange(len(stream)), stream.norms, stream.widths
+    ids = np.array([s.id for s in stream], dtype=np.int64)
+    norms = np.array([s.norm for s in stream], dtype=float)
+    widths = np.array([s.width for s in stream], dtype=np.int64)
+    order = np.lexsort((ids, norms))
+    return ids[order], norms[order], widths[order]
+
+
+class _FanTable(NamedTuple):
+    blocks: list  # per block: (ones, twos) index arrays into ``sites``
+    after: list  # per block: (need, completions once the block is done)
+    size: int  # |D(m, k, X)|
+    sites: tuple  # (ids, norms, widths), sorted by (norm, id)
+
+
+def _fan_table(stream, spec) -> _FanTable:
+    """Exact count of the fan, split into blocks: (blocks, after, size, sites).
 
     With the positive-width sites sorted by (norm, id), slot j's bound
     becomes a cut index cut_j: a sorted level lies in the fan exactly
     when at least j + 1 of its sites sit below cut_j.  The distinct cuts
     split the sites into blocks of width-1 and width-2 sites (ones,
-    twos).  ``moves[i][(a, b)]`` lists (cumulative weight, x, y): take x
-    ones and y twos from block i after a ones and b twos, weighted by
-    the number of levels that choice completes.
+    twos).  Walking the blocks backwards, ``after[i]`` holds ``need``
+    (the sites a level must have once block i is done) and the array
+    C[a', b']: the levels that complete from a' ones and b' twos taken
+    by the end of block i.  The count one block earlier splits into two
+    passes over the masked M = C * [a' + b' >= need]:
+
+        G(a', b) = sum_y comb(twos, y) M(a', b + y)
+        C(a, b)  = sum_x comb(ones, x) G(a + x, b)
+
+    which costs O(S (n1 + n2)) per block for S = (n1+1)(n2+1) states.
     """
     n1, n2 = width_pattern(spec.m, spec.k)
-    sites = sorted((s for s in stream if s.width), key=lambda s: (s.norm, s.id))
-    logs = [math.log(s.norm) for s in sites]
-    cuts = [bisect_left(logs, b) for b in spec.log_bounds[: spec.m]]
+    ids, norms, widths = _site_arrays(stream)
+    keep = np.flatnonzero(widths)
+    positive = norms[keep]
+    cuts = [bisect_left(positive, b, key=math.log) for b in spec.log_bounds[: spec.m]]
     edges = sorted(set(cuts))
-    blocks = [
-        ([s for s in sites[lo:hi] if s.width == 1], [s for s in sites[lo:hi] if s.width == 2])
-        for lo, hi in zip([0] + edges, edges)
-    ]
-    moves: list[dict] = []
-    counts = {(n1, n2): 1}
+    blocks = []
+    for lo, hi in zip([0] + edges, edges):
+        block = keep[lo:hi]
+        blocks.append((block[widths[block] == 1], block[widths[block] == 2]))
+    taken = np.add.outer(np.arange(n1 + 1), np.arange(n2 + 1))
+    counts = np.zeros((n1 + 1, n2 + 1), dtype=object)
+    counts[n1, n2] = 1
+    after = []
     for (ones, twos), edge in zip(reversed(blocks), reversed(edges)):
         need = bisect_right(cuts, edge)  # sites the level must have below edge
-        rows = {}
-        for a, b in product(range(n1 + 1), range(n2 + 1)):
-            row, total = [], 0
-            for x in range(min(len(ones), n1 - a) + 1):
-                for y in range(max(0, need - a - b - x), min(len(twos), n2 - b) + 1):
-                    weight = counts.get((a + x, b + y), 0)
-                    if weight:
-                        total += math.comb(len(ones), x) * math.comb(len(twos), y) * weight
-                        row.append((total, x, y))
-            if row:
-                rows[(a, b)] = row
-        moves.insert(0, rows)
-        counts = {state: row[-1][0] for state, row in rows.items()}
-    return blocks, moves, counts.get((0, 0), 0)
+        after.insert(0, (need, counts))
+        masked = np.where(taken >= need, counts, 0)
+        partial = np.zeros_like(counts)
+        for y in range(min(len(twos), n2) + 1):
+            partial[:, : n2 + 1 - y] += math.comb(len(twos), y) * masked[:, y:]
+        counts = np.zeros_like(counts)
+        for x in range(min(len(ones), n1) + 1):
+            counts[: n1 + 1 - x] += math.comb(len(ones), x) * partial[x:]
+    return _FanTable(blocks, after, counts[0, 0], (ids, norms, widths))
 
 
-def _draw(table, count: int, rng: np.random.Generator) -> list[Level]:
-    blocks, moves = table[:2]
+def _row(table: _FanTable, i: int, a: int, b: int) -> list[tuple[int, int, int]]:
+    # Block i's choices from state (a, b): (cumulative weight, x, y) for
+    # taking x ones and y twos, weighted by the levels that choice
+    # completes; x outer, y inner, zero weights dropped.
+    ones, twos = table.blocks[i]
+    need, counts = table.after[i]
+    n1, n2 = counts.shape[0] - 1, counts.shape[1] - 1
+    row, total = [], 0
+    for x in range(min(len(ones), n1 - a) + 1):
+        for y in range(max(0, need - a - b - x), min(len(twos), n2 - b) + 1):
+            weight = counts[a + x, b + y]
+            if weight:
+                total += math.comb(len(ones), x) * math.comb(len(twos), y) * weight
+                row.append((total, x, y))
+    return row
+
+
+def _draw(table: _FanTable, count: int, rng: np.random.Generator) -> list[Level]:
+    ids, norms, widths = table.sites
+    rows: dict[tuple[int, int, int], list] = {}  # built for visited states only
     levels = []
     for _ in range(count):
         a, b, picks = 0, 0, []
-        for (ones, twos), rows in zip(blocks, moves):
-            row = rows[(a, b)]
+        for i, (ones, twos) in enumerate(table.blocks):
+            row = rows.get((i, a, b))
+            if row is None:
+                row = rows[(i, a, b)] = _row(table, i, a, b)
             u = total = row[-1][0]
             bits = total.bit_length()
             while u >= total:  # uniform below total from whole bytes
                 u = int.from_bytes(rng.bytes((bits + 7) // 8), "little") >> (-bits % 8)
-            _, x, y = next(entry for entry in row if entry[0] > u)
+            _, x, y = row[bisect_right(row, u, key=itemgetter(0))]
             if x:
-                picks.extend(ones[j] for j in rng.choice(len(ones), x, replace=False))
+                picks.extend(ones[rng.choice(len(ones), x, replace=False)].tolist())
             if y:
-                picks.extend(twos[j] for j in rng.choice(len(twos), y, replace=False))
+                picks.extend(twos[rng.choice(len(twos), y, replace=False)].tolist())
             a, b = a + x, b + y
-        levels.append(make_level(picks))
+        levels.append(make_level(
+            PrimeSite(int(ids[j]), float(norms[j]), int(widths[j])) for j in picks
+        ))
     return levels
 
 
@@ -264,9 +320,10 @@ def sample_levels(stream, spec: FanSpec, count: int, rng: np.random.Generator) -
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
     table = _fan_table(stream, spec)
-    if not table[2]:
+    if not table.size:
         n1, n2 = width_pattern(spec.m, spec.k)
-        if sum(s.width == 1 for s in stream) < n1 or sum(s.width == 2 for s in stream) < n2:
+        widths = table.sites[2]
+        if np.count_nonzero(widths == 1) < n1 or np.count_nonzero(widths == 2) < n2:
             raise InfeasibleFan(
                 f"(m, k) = ({spec.m}, {spec.k}) needs {n1} width-1 and {n2} width-2 sites"
             )
@@ -359,7 +416,15 @@ def fan_distribution(
     if not levels:
         raise EmptyFan("fan average over an empty list of levels")
     if mode == "exact_kernel":
-        stack = [level_rank_distribution(lv, initial, mode, p).values for lv in levels]
+        # An exact level distribution depends only on the level's widths in
+        # norm order, and a fan repeats few width sequences.
+        memo: dict[tuple[int, ...], np.ndarray] = {}
+        stack = []
+        for lv in levels:
+            key = tuple(site.width for site in lv.sites)
+            if key not in memo:
+                memo[key] = level_rank_distribution(lv, initial, mode, p).values
+            stack.append(memo[key])
         return _density_unchecked(np.mean(stack, axis=0))
     if rng is None:
         raise ValidationError("sampled mode needs an rng")
@@ -482,8 +547,8 @@ def fan_union_distribution(
     for m in range((k + 1) // 2, min(k, m_max) + 1) if k > 0 else [0]:
         spec = FanSpec.from_rate(rate, m, k, X)
         table = _fan_table(stream, spec)
-        if table[2]:
-            slices.append((_draw(table, levels_per_slice, rng), table[2]))
+        if table.size:
+            slices.append((_draw(table, levels_per_slice, rng), table.size))
     if not slices:
         raise EmptyFan(f"no feasible fan slice for k = {k} with m <= {m_max}")
     walks_per_slice = walks // len(slices)

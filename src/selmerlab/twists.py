@@ -5,7 +5,9 @@ keep exactly the statistics that matter:
 
 * a stream of synthetic primes, each with a norm and a width in
   {0, 1, 2} (the width is how much the rank can move when twisting at
-  that prime);
+  that prime).  The stream is held as two arrays, norms and widths,
+  with a site's id its index; a :class:`PrimeSite` is built only when
+  one is indexed, so the fan counter reads the arrays directly;
 * the distribution of the localization dimension t at a prime of width
   i given the current rank r, with rows
 
@@ -34,6 +36,7 @@ inequality the averaging bounds assume.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,6 +105,8 @@ class StreamConfig:
             raise DegenerateConfig(f"width densities sum to {sum(d)}, not 1")
         if not d[2] > 0:
             raise DegenerateConfig("d_2 must be positive (width-2 primes always exist)")
+        if self.seed < 0:
+            raise DegenerateConfig(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StreamConfig":
@@ -118,7 +123,46 @@ class StreamConfig:
         return cls(width_densities=densities, growth_rate=growth_rate, seed=seed)
 
 
-def synth_prime_stream(config: StreamConfig, X: float) -> list[PrimeSite]:
+class PrimeStream(Sequence[PrimeSite]):
+    """A read-only sequence of sites held as ``norms`` and ``widths`` arrays.
+
+    Site j is ``PrimeSite(j, norms[j], widths[j])``, built on indexing;
+    the sites are sorted by (norm, id).  Compares equal to any sequence
+    of the same sites, a list included; a slice is a list of sites.
+    """
+
+    __slots__ = ("norms", "widths")
+
+    def __init__(self, norms: np.ndarray, widths: np.ndarray):
+        bad = np.flatnonzero(~(norms > 1.0))
+        if bad.size:
+            raise ValidationError(f"site norm must be > 1, got {norms[bad[0]]}")
+        bad = np.flatnonzero((widths < 0) | (widths > 2))
+        if bad.size:
+            raise ValidationError(f"site width must be 0, 1 or 2, got {widths[bad[0]]}")
+        self.norms, self.widths = norms, widths
+        norms.flags.writeable = widths.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.norms)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[j] for j in range(*index.indices(len(self)))]
+        j = range(len(self))[index]  # normalizes a negative index, raises IndexError
+        return PrimeSite(j, float(self.norms[j]), int(self.widths[j]))
+
+    def __iter__(self):
+        for j, (norm, width) in enumerate(zip(self.norms.tolist(), self.widths.tolist())):
+            yield PrimeSite(j, norm, width)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def synth_prime_stream(config: StreamConfig, X: float) -> Sequence[PrimeSite]:
     """Generate the synthetic primes of norm < X, sorted by norm.
 
     Norms follow a unit-free point process with the configured expected
@@ -127,6 +171,12 @@ def synth_prime_stream(config: StreamConfig, X: float) -> list[PrimeSite]:
     densities.  Deterministic given the config seed, and consistent
     across cutoffs: two calls with the same config agree on every site
     below the smaller X.
+
+    The result is a :class:`PrimeStream`: float64 norms and int64
+    widths, built a block of 4096 sites at a time.  A block's norms are
+    a sequential cumulative sum from the previous norm, which adds in
+    the same order as stepping site by site, so every norm is the same
+    float a per-site loop would produce.
     """
     # An infinite rate or cutoff would never end the loop below.
     if not 0 < config.growth_rate < math.inf:
@@ -134,20 +184,24 @@ def synth_prime_stream(config: StreamConfig, X: float) -> list[PrimeSite]:
     if not X < math.inf:
         raise ValidationError(f"stream cutoff X must be finite, got {X}")
     rng = np.random.default_rng(config.seed)
-    sites: list[PrimeSite] = []
+    norms = [np.empty(0)]
+    widths = [np.empty(0, dtype=np.int64)]
     position = 1.0
     # Fixed block size: the rng consumption per block never depends on
     # X, which is what makes the streams prefix-consistent.
     block = 4096
     while position < X:
         spacings = rng.exponential(1.0 / config.growth_rate, size=block)
-        widths = rng.choice(3, size=block, p=list(config.width_densities))
-        for s, w in zip(spacings, widths):
-            position += s
-            if position >= X:
-                break
-            sites.append(PrimeSite(len(sites), float(position), int(w)))
-    return sites
+        drawn = rng.choice(3, size=block, p=list(config.width_densities))
+        # np.cumsum adds left to right, one term at a time.
+        positions = np.cumsum(np.concatenate(([position], spacings)))[1:]
+        cut = int(np.searchsorted(positions, X))  # first position >= X
+        norms.append(positions[:cut])
+        widths.append(drawn[:cut].astype(np.int64, copy=False))
+        if cut < block:
+            break
+        position = float(positions[-1])
+    return PrimeStream(np.concatenate(norms), np.concatenate(widths))
 
 
 def t_distribution(i: int, r: int, p: int, *, exact: bool = False):
@@ -230,6 +284,8 @@ class TStepSampler:
     def __init__(self, p: int, y: float | None = None, seed: int = 0):
         if y is not None and not y >= 2.0:
             raise ValidationError(f"cutoff y must be >= 2, got {y}")
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
         self.p = p
         self.y = y
         self.seed = seed

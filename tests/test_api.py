@@ -70,3 +70,10 @@ def test_nan_rejected_by_library_guards():
         sl.initial_from_disparity(nan, 8)
     with pytest.raises(sl.DisparityOutOfRange):
         sl.limit_distribution(nan, 2)
+
+
+def test_negative_seed_rejected_at_construction():
+    with pytest.raises(sl.DegenerateConfig, match="seed"):
+        sl.StreamConfig(seed=-1)
+    with pytest.raises(sl.ValidationError, match="seed"):
+        sl.TStepSampler(2, 10.0, seed=-1)

@@ -254,6 +254,10 @@ class JsonFile:
             "fans",
             JsonFile({"m": 2, "k": 3, "X": 10.0, "mode": "sampled", "walks": 29, "levels": 30}),
         ],
+        # numpy rejects negative seeds only once it is handed one
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0}), "--seed", "-1"],
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "seed": -1})],
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "stream": {"seed": -3}})],
     ],
 )
 def test_bad_input_exits_one(argv, tmp_path, capsys):

@@ -265,6 +265,17 @@ def test_sample_levels_sparse_fan_in_a_large_pool():
     assert len({lv.sites for lv in levels}) > 25
 
 
+def test_stream_and_site_list_give_the_same_table_and_draws():
+    stream = default_stream(2e4, seed=3)
+    sites = list(stream)
+    for m, k in ((2, 3), (6, 9), (20, 40)):
+        spec = FanSpec.from_rate(SQUARE, m, k, 10.0)
+        assert _fan_table(stream, spec)[2] == _fan_table(sites, spec)[2] > 0
+        a = sl.sample_levels(stream, spec, 20, np.random.default_rng(m))
+        b = sl.sample_levels(sites, spec, 20, np.random.default_rng(m))
+        assert a == b
+
+
 def make_initial(N=24):
     return sl.make_density([0.5, 0.5], N)
 
@@ -335,6 +346,19 @@ def test_fan_distribution_needs_a_walk_per_level():
             sl.fan_distribution(levels, init, "sampled_at_Y", 2, rng, walks=walks)
     out = sl.fan_distribution(levels, init, "sampled_at_Y", 2, rng, walks=3)
     assert out.values.sum() == pytest.approx(1.0)
+
+
+def test_exact_fan_distribution_equals_per_level_stack():
+    init = make_initial(32)
+    stream = default_stream()
+    for m, k in ((2, 3), (6, 9)):
+        spec = FanSpec.from_rate(SQUARE, m, k, 10.0)
+        levels = sl.sample_levels(stream, spec, 60, np.random.default_rng(k))
+        stack = [
+            sl.level_rank_distribution(lv, init, "exact_kernel", 2).values for lv in levels
+        ]
+        fan = sl.fan_distribution(levels, init, "exact_kernel", 2)
+        assert fan.values.tobytes() == np.mean(stack, axis=0).tobytes()
 
 
 def test_fan_collapse_residual_exact_is_zero():

@@ -87,6 +87,64 @@ def test_stream_config_json_round_trip():
         sl.StreamConfig.from_json_dict({"densities": [1, 0, 0], "extra": 1})
 
 
+def reference_stream(config, X):
+    # The per-site loop the array stream replaced, kept as its oracle.
+    rng = np.random.default_rng(config.seed)
+    sites = []
+    position = 1.0
+    while position < X:
+        spacings = rng.exponential(1.0 / config.growth_rate, size=4096)
+        widths = rng.choice(3, size=4096, p=list(config.width_densities))
+        for s, w in zip(spacings, widths):
+            position += s
+            if position >= X:
+                break
+            sites.append((len(sites), float(position), int(w)))
+    return sites
+
+
+def triples(stream):
+    return [(s.id, s.norm, s.width) for s in stream]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    growth_rate=st.floats(0.1, 3.0),
+    weights=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 1.0)),
+    X=st.floats(-2.0, 6000.0),
+)
+def test_stream_matches_per_site_loop(seed, growth_rate, weights, X):
+    total = sum(weights)
+    densities = (weights[0] / total, weights[1] / total, weights[2] / total)
+    cfg = sl.StreamConfig(densities, growth_rate=growth_rate, seed=seed)
+    assert triples(sl.synth_prime_stream(cfg, X)) == reference_stream(cfg, X)
+
+
+def test_stream_matches_per_site_loop_at_block_edge():
+    cfg = default_config(seed=12)
+    for x in (-1.0, 0.5, 1.0):
+        assert len(sl.synth_prime_stream(cfg, x)) == 0 == len(reference_stream(cfg, x))
+    last = reference_stream(cfg, 5000.0)[4095][1]  # the first block's last norm
+    below = sl.synth_prime_stream(cfg, last)
+    assert triples(below) == reference_stream(cfg, last) and len(below) == 4095
+    above = sl.synth_prime_stream(cfg, math.nextafter(last, math.inf))
+    assert triples(above) == reference_stream(cfg, math.nextafter(last, math.inf))
+    assert len(above) == 4096
+
+
+def test_stream_is_a_read_only_sequence_of_sites():
+    stream = sl.synth_prime_stream(default_config(seed=4), 50.0)
+    sites = list(stream)
+    assert stream == sites and sites == stream[:]
+    assert stream[-1] == sites[-1] and stream[2:5] == sites[2:5]
+    assert [s.id for s in sites] == list(range(len(sites)))
+    with pytest.raises(IndexError):
+        stream[len(sites)]
+    with pytest.raises(ValueError):
+        stream.norms[0] = 2.0
+
+
 def test_t_distribution_rows():
     assert list(sl.t_distribution(1, 0, 2)) == [1.0, 0.0]
     assert list(sl.t_distribution(1, 2, 2)) == [0.25, 0.75]
