@@ -17,6 +17,10 @@ stdout when ``--out`` is absent) depends only on the spec and the seed;
 floats are formatted with 15 significant digits in JSON, 6 in CSV, and
 wall time goes only to the stderr run report.
 
+All JSON input (the ``fans`` spec, disparity tables, ``--initial @file``)
+is read here, by one object reader and one number reader; the library
+modules take typed values only.
+
 Exit codes: 0 success, 1 validation error, 2 numeric threshold
 exceeded, 3 I/O error.
 """
@@ -40,10 +44,12 @@ from .lagrangian import (
     equilibrium,
     predicted_limit,
 )
-from .twists import StreamConfig, synth_prime_stream
+from .twists import S3_WIDTH_DENSITIES, StreamConfig, synth_prime_stream
 from .fans import ConvergenceRate, FanSpec, fan_collapse
 from .disparity import (
     DisparityTable,
+    LocalCharacter,
+    LocalPlaceData,
     average_rank,
     delta_global,
     delta_local,
@@ -52,6 +58,11 @@ from .disparity import (
 )
 
 _MODES = {"exact": "exact_kernel", "sampled": "sampled_at_Y"}
+_ORIENTATIONS = ("odd_heavy", "even_heavy")
+_SPEC_OPTIONAL = (
+    "rate", "mode", "Y", "walks", "seed", "levels", "threshold", "stream",
+    "table", "orientation", "p", "N",
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,12 +113,81 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
+def _load_json(path: str):
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def _object(data, what: str, required=(), optional=()) -> dict:
+    """``data`` as a JSON object with all ``required`` keys and no others but ``optional``."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {data!r}")
+    unknown = set(data) - set(required) - set(optional)
+    if unknown:
+        raise ValidationError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValidationError(f"{what} is missing fields: {missing}")
+    return data
+
+
+def _number(value, kind: type, what: str):
+    # A JSON number or numeric string (not a bool) as ``kind``, int or float.
+    number = None
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if number is None or kind is int and not number.is_integer():
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{what} needs {noun}, got {value!r}")
+    if kind is float:
+        return number
+    return value if isinstance(value, int) else int(number)
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _read_table(data) -> DisparityTable:
+    """A disparity table from its parsed JSON object."""
+    data = _object(data, "table", ("rank_of_trivial", "places"))
+    places = []
+    for place in _list(data["places"], "places"):
+        place = _object(place, "place", ("id", "characters"))
+        characters = []
+        for ch in _list(place["characters"], "characters"):
+            ch = _object(ch, "character", ("h_parity", "delta_value"))
+            characters.append(LocalCharacter(
+                _number(ch["h_parity"], int, "h_parity"),
+                _number(ch["delta_value"], int, "delta_value"),
+            ))
+        places.append(LocalPlaceData(str(place["id"]), tuple(characters)))
+    return DisparityTable(
+        tuple(places), _number(data["rank_of_trivial"], int, "rank_of_trivial")
+    )
+
+
+def _read_stream(data, seed: int) -> tuple[StreamConfig, float]:
+    """A spec's ``stream`` object: the config (seeded with ``seed``
+    unless it sets its own) and the stream cutoff X."""
+    data = _object(data, "stream", (), ("densities", "growth_rate", "seed", "X"))
+    densities = _list(data.get("densities", list(S3_WIDTH_DENSITIES)), "stream densities")
+    config = StreamConfig(
+        tuple(_number(d, float, "stream densities") for d in densities),
+        _number(data.get("growth_rate", 1.0), float, "stream growth_rate"),
+        _number(data.get("seed", seed), int, "stream seed"),
+    )
+    return config, _number(data.get("X", 2000.0), float, "stream X")
+
+
 def _parse_initial(spec: str, N: int) -> Density:
     if spec.startswith("@"):
-        with open(spec[1:]) as handle:
-            data = json.loads(handle.read())
-        if not isinstance(data, dict) or "values" not in data:
-            raise ValidationError(f"--initial {spec} needs a JSON object with 'values'")
+        data = _object(_load_json(spec[1:]), f"--initial {spec}", ("values",))
         return make_density(data["values"], N)
     if spec.startswith("delta"):
         digits = spec[len("delta"):]
@@ -117,14 +197,7 @@ def _parse_initial(spec: str, N: int) -> Density:
         values = [0.0] * (rank + 1)
         values[rank] = 1.0
         return make_density(values, N)
-    return make_density(_parse_floats(spec, "--initial"), N)
-
-
-def _parse_floats(text: str, flag: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",")]
-    except ValueError:
-        raise ValidationError(f"{flag} needs comma-separated numbers, got {text!r}") from None
+    return make_density([_number(x, float, "--initial") for x in spec.split(",")], N)
 
 
 def cmd_constants(args):
@@ -182,78 +255,37 @@ def cmd_iterate(args):
     return payload, payload["footer"], 0
 
 
-def _spec_number(data: dict, key: str, kind, default=None):
-    value = data.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"field {key!r} needs a number, got {value!r}") from None
-
-
-def _load_fan_spec(path: str) -> dict:
-    with open(path) as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValidationError("experiment spec must be a JSON object")
-    known = {
-        "m", "k", "X", "rate", "mode", "Y", "walks", "seed", "levels",
-        "threshold", "stream", "table", "orientation", "p", "N",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ValidationError(f"unknown experiment fields: {sorted(unknown)}")
-    return data
-
-
-def _parse_rate(data) -> ConvergenceRate:
-    if data is None:
-        return ConvergenceRate("power", 1.0, 2.0)
-    if not isinstance(data, dict):
-        raise ValidationError("experiment field 'rate' must be a JSON object")
-    unknown = set(data) - {"family", "C", "a"}
-    if unknown:
-        raise ValidationError(f"unknown rate fields: {sorted(unknown)}")
-    return ConvergenceRate(
-        data.get("family", "power"),
-        _spec_number(data, "C", float, 1.0),
-        _spec_number(data, "a", float, 2.0),
-    )
-
-
 def cmd_fans(args):
-    data = _load_fan_spec(args.spec)
-    for field in ("m", "k", "X"):
-        if field not in data:
-            raise ValidationError(f"experiment spec is missing {field!r}")
-    m, k = _spec_number(data, "m", int), _spec_number(data, "k", int)
-    X = _spec_number(data, "X", float)
-    rate = _parse_rate(data.get("rate"))
-    mode_name = data.get("mode", "exact")
-    if mode_name not in _MODES:
+    spec = _object(_load_json(args.spec), "experiment spec", ("m", "k", "X"), _SPEC_OPTIONAL)
+    m, k = _number(spec["m"], int, "m"), _number(spec["k"], int, "k")
+    X = _number(spec["X"], float, "X")
+    rate_spec = _object(spec.get("rate", {}), "rate", (), ("family", "C", "a"))
+    rate = ConvergenceRate(
+        rate_spec.get("family", "power"),
+        _number(rate_spec.get("C", 1.0), float, "rate C"),
+        _number(rate_spec.get("a", 2.0), float, "rate a"),
+    )
+    mode_name = spec.get("mode", "exact")
+    if not isinstance(mode_name, str) or mode_name not in _MODES:
         raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode_name!r}")
     mode = _MODES[mode_name]
-    p, N = _spec_number(data, "p", int, 2), _spec_number(data, "N", int, 64)
-    y = _spec_number(data, "Y", float, 1000.0)
-    walks = _spec_number(data, "walks", int, 100_000)
-    levels = _spec_number(data, "levels", int, 30)
-    seed = _spec_number(data, "seed", int, args.seed)
+    orientation = spec.get("orientation", "odd_heavy")
+    if orientation not in _ORIENTATIONS:
+        raise ValidationError(f"orientation must be one of {_ORIENTATIONS}, got {orientation!r}")
+    p, N = _number(spec.get("p", 2), int, "p"), _number(spec.get("N", 64), int, "N")
+    y = _number(spec.get("Y", 1000.0), float, "Y")
+    walks = _number(spec.get("walks", 100_000), int, "walks")
+    levels = _number(spec.get("levels", 30), int, "levels")
+    seed = _number(spec.get("seed", args.seed), int, "seed")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    threshold = data.get("threshold")
+    threshold = spec.get("threshold")
     if threshold is not None:
-        threshold = _spec_number(data, "threshold", float)
+        threshold = _number(threshold, float, "threshold")
         if np.isnan(threshold):
-            raise ValidationError("field 'threshold' needs a number, got NaN")
+            raise ValidationError("threshold needs a number, got NaN")
     rng = np.random.default_rng(seed)
-
-    stream_data = data.get("stream") or {}
-    if not isinstance(stream_data, dict):
-        raise ValidationError("experiment field 'stream' must be a JSON object")
-    stream_data = dict(stream_data)
-    stream_X = _spec_number(stream_data, "X", float, 2000.0)
-    stream_data.pop("X", None)
-    stream_data.setdefault("seed", seed)
-    config = StreamConfig.from_json_dict(stream_data)
+    config, stream_X = _read_stream(spec.get("stream", {}), seed)
 
     params = {
         "m": m, "k": k, "X": X, "mode": mode_name, "p": p, "N": N,
@@ -262,14 +294,9 @@ def cmd_fans(args):
     if mode == "sampled_at_Y":
         params["Y"] = y
 
-    if "table" in data:
-        table_data = data["table"]
-        if isinstance(table_data, str):
-            with open(table_data) as handle:
-                table = DisparityTable.from_json(handle.read())
-        else:
-            table = DisparityTable.from_json(json.dumps(table_data))
-        orientation = data.get("orientation", "odd_heavy")
+    if "table" in spec:
+        table = spec["table"]
+        table = _read_table(_load_json(table) if isinstance(table, str) else table)
         report = end_to_end_fan_experiment(
             table, rate, m, k, X, mode, p, N, rng, orientation,
             stream=config, stream_X=stream_X, levels=levels, walks=walks,
@@ -312,8 +339,7 @@ def cmd_fans(args):
 
 
 def cmd_disparity(args):
-    with open(args.table) as handle:
-        table = DisparityTable.from_json(handle.read())
+    table = _read_table(_load_json(args.table))
     delta = delta_global(table)
     limit = limit_distribution(delta, args.p, args.N, args.orientation)
     footer = {f"delta_v[{place.id}]": delta_local(place) for place in table.places}
@@ -330,7 +356,7 @@ def cmd_disparity(args):
 
 def cmd_avg_rank(args):
     if args.deltas:
-        grid = _parse_floats(args.deltas, "--deltas")
+        grid = [_number(x, float, "--deltas") for x in args.deltas.split(",")]
     else:
         grid = list(np.linspace(-0.5, 0.5, max(args.grid, 0)))
     if len(set(grid)) < 2:
@@ -386,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-p", type=int, default=2)
     sp.add_argument("-N", type=int, default=64)
     sp.add_argument(
-        "--orientation", choices=("odd_heavy", "even_heavy"), default="odd_heavy"
+        "--orientation", choices=_ORIENTATIONS, default="odd_heavy"
     )
     sp.set_defaults(func=cmd_disparity)
 
@@ -396,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=21)
     sp.add_argument("--deltas", default=None, help="comma-separated override")
     sp.add_argument(
-        "--orientation", choices=("odd_heavy", "even_heavy"), default="odd_heavy"
+        "--orientation", choices=_ORIENTATIONS, default="odd_heavy"
     )
     sp.set_defaults(func=cmd_avg_rank)
     return parser

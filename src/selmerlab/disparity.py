@@ -24,7 +24,6 @@ weights the odd side).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Literal
 
@@ -115,48 +114,6 @@ class DisparityTable:
             raise ValidationError(
                 f"rank_of_trivial must be >= 0, got {self.rank_of_trivial}"
             )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DisparityTable":
-        data = _fields(json.loads(text), "table", ("rank_of_trivial", "places"))
-        places = []
-        for entry in _list(data["places"], "places"):
-            entry = _fields(entry, "place", ("id", "characters"))
-            characters = []
-            for ch in _list(entry["characters"], "characters"):
-                ch = _fields(ch, "character", ("h_parity", "delta_value"))
-                characters.append(
-                    LocalCharacter(_int(ch["h_parity"], "h_parity"),
-                                   _int(ch["delta_value"], "delta_value"))
-                )
-            places.append(LocalPlaceData(str(entry["id"]), tuple(characters)))
-        return cls(tuple(places), _int(data["rank_of_trivial"], "rank_of_trivial"))
-
-
-def _fields(entry, what: str, keys: tuple[str, ...]) -> dict:
-    # One JSON object of a table: exactly the given keys, all required.
-    if not isinstance(entry, dict):
-        raise ValidationError(f"{what} must be a JSON object, got {entry!r}")
-    unknown = set(entry) - set(keys)
-    if unknown:
-        raise ValidationError(f"unknown {what} fields: {sorted(unknown)}")
-    missing = [key for key in keys if key not in entry]
-    if missing:
-        raise ValidationError(f"{what} is missing fields: {missing}")
-    return entry
-
-
-def _list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"{what} must be a JSON list, got {value!r}")
-    return value
-
-
-def _int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def delta_local(place: LocalPlaceData) -> float:

@@ -64,10 +64,16 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 
 
 def _coerce_vector(raw) -> np.ndarray:
-    values = list(raw)
-    if any(isinstance(v, Fraction) for v in values):
-        return np.array([Fraction(v) for v in values], dtype=object)
-    return np.asarray(values, dtype=float)
+    try:
+        values = list(raw)
+        if any(isinstance(v, Fraction) for v in values):
+            return np.array([Fraction(v) for v in values], dtype=object)
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if isinstance(raw, str) or array is None or array.ndim != 1:
+        raise ValidationError(f"density entries must be a flat list of numbers, got {raw!r}")
+    return array
 
 
 def _validate_probability_vector(values: np.ndarray, tol: float, what: str) -> None:

@@ -108,20 +108,6 @@ class StreamConfig:
         if self.seed < 0:
             raise DegenerateConfig(f"seed must be >= 0, got {self.seed}")
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "StreamConfig":
-        known = {"densities", "growth_rate", "seed"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown stream fields: {sorted(unknown)}")
-        try:
-            densities = tuple(float(d) for d in data.get("densities", S3_WIDTH_DENSITIES))
-            growth_rate = float(data.get("growth_rate", 1.0))
-            seed = int(data.get("seed", 0))
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"stream fields need numbers, got {data!r}") from None
-        return cls(width_densities=densities, growth_rate=growth_rate, seed=seed)
-
 
 class PrimeStream(Sequence[PrimeSite]):
     """A read-only sequence of sites held as ``norms`` and ``widths`` arrays.

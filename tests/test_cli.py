@@ -191,6 +191,20 @@ def test_fans_residual_is_the_library_pipeline(tmp_path, capsys):
         assert float(f"{value:.15g}") == footer
 
 
+def test_fans_integral_floats_and_numeric_strings_read_as_ints(tmp_path, capsys):
+    plain = {"m": 2, "k": 3, "X": 10.0, "levels": 6}
+    spelled = {"m": 2.0, "k": "3", "X": "10", "levels": "6.0"}
+    outputs = []
+    for name, spec in (("plain", plain), ("spelled", spelled)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(["fans", str(path), "--format", "json"], capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["params"]["m"] == 2
+
+
 class JsonFile:
     """An argv slot that becomes the path of a JSON file holding ``data``."""
 
@@ -258,6 +272,37 @@ class JsonFile:
         ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0}), "--seed", "-1"],
         ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "seed": -1})],
         ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "stream": {"seed": -3}})],
+        # a list is unhashable, so a mode lookup must not hash it
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10, "mode": [1]})],
+        # density entries that are not one flat list of numbers
+        ["iterate", "--initial", JsonFile({"values": "ab"}, prefix="@")],
+        ["iterate", "--initial", JsonFile({"values": 5}, prefix="@")],
+        ["iterate", "--initial", JsonFile({"values": [[0.5], [0.5]]}, prefix="@")],
+        ["iterate", "--initial", JsonFile({"values": [1.0], "extra": 1}, prefix="@")],
+        # an int field refuses a fraction instead of truncating it
+        ["fans", JsonFile({"m": 2.7, "k": 3, "X": 10})],
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10, "levels": 4.5})],
+        [
+            "disparity",
+            JsonFile({
+                "rank_of_trivial": 0,
+                "places": [{"id": "a", "characters": [
+                    {"h_parity": 0, "delta_value": 1}, {"h_parity": 0.6, "delta_value": 1},
+                ]}],
+            }),
+        ],
+        # a present stream, rate or inline table must be an object
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10, "stream": []})],
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10, "stream": 0})],
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10, "stream": False})],
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10, "rate": None})],
+        # orientation is checked when the spec is read, with or without a
+        # table, so it fails before the table file is opened or a fan is run
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10, "orientation": "sideways"})],
+        [
+            "fans",
+            JsonFile({"m": 2, "k": 3, "X": 10, "orientation": "sideways", "table": "no-table.json"}),
+        ],
     ],
 )
 def test_bad_input_exits_one(argv, tmp_path, capsys):

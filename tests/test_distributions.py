@@ -31,6 +31,8 @@ def test_make_density_rejects_bad_mass():
         sl.make_density([1.5, -0.5])
     with pytest.raises(sl.TruncationMismatch):
         sl.make_density([0.5, 0.5, 0.0], N=2)
+    with pytest.raises(sl.ValidationError):
+        sl.make_density("ab")
 
 
 def test_make_density_zero_pads():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selmerlab as sl
+from selmerlab import cli
 from selmerlab.twists import TStepSampler, sample_transitions
 
 
@@ -81,10 +82,10 @@ def test_stream_config_validation():
 
 def test_stream_config_json_round_trip():
     data = {"densities": [0.25, 0.25, 0.5], "growth_rate": 2.0, "seed": 11}
-    back = sl.StreamConfig.from_json_dict(data)
+    back, _ = cli._read_stream(data, seed=0)
     assert back == sl.StreamConfig((0.25, 0.25, 0.5), 2.0, 11)
     with pytest.raises(sl.ValidationError):
-        sl.StreamConfig.from_json_dict({"densities": [1, 0, 0], "extra": 1})
+        cli._read_stream({"densities": [1, 0, 0], "extra": 1}, seed=0)
 
 
 def reference_stream(config, X):
