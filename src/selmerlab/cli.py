@@ -276,6 +276,8 @@ def cmd_fans(args):
     y = _number(spec.get("Y", 1000.0), float, "Y")
     walks = _number(spec.get("walks", 100_000), int, "walks")
     levels = _number(spec.get("levels", 30), int, "levels")
+    if levels < 1:
+        raise ValidationError(f"levels must be >= 1, got {levels}")
     seed = _number(spec.get("seed", args.seed), int, "seed")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")

@@ -114,6 +114,11 @@ class DisparityTable:
             raise ValidationError(
                 f"rank_of_trivial must be >= 0, got {self.rank_of_trivial}"
             )
+        seen = set()
+        for place in self.places:
+            if place.id in seen:
+                raise ValidationError(f"place id {place.id!r} appears more than once")
+            seen.add(place.id)
 
 
 def delta_local(place: LocalPlaceData) -> float:

@@ -28,7 +28,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import itemgetter
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -267,47 +266,104 @@ def _fan_table(stream, spec) -> _FanTable:
     return _FanTable(blocks, after, counts[0, 0], (ids, norms, widths))
 
 
-def _row(table: _FanTable, i: int, a: int, b: int) -> list[tuple[int, int, int]]:
-    # Block i's choices from state (a, b): (cumulative weight, x, y) for
-    # taking x ones and y twos, weighted by the levels that choice
-    # completes; x outer, y inner, zero weights dropped.
+def _row(
+    table: _FanTable, i: int, a: int, b: int
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    # Block i's choices from state (a, b): the cumulative weights, and per
+    # choice (x, y, w) for taking x ones and y twos, where w counts the
+    # levels that complete from the state (a + x, b + y) after block i; x
+    # outer, y inner, zero weights dropped.  The last cumulative weight
+    # counts the levels that complete from (a, b) before block i.
     ones, twos = table.blocks[i]
     need, counts = table.after[i]
     n1, n2 = counts.shape[0] - 1, counts.shape[1] - 1
-    row, total = [], 0
+    cums, choices, total = [], [], 0
     for x in range(min(len(ones), n1 - a) + 1):
         for y in range(max(0, need - a - b - x), min(len(twos), n2 - b) + 1):
             weight = counts[a + x, b + y]
             if weight:
                 total += math.comb(len(ones), x) * math.comb(len(twos), y) * weight
-                row.append((total, x, y))
-    return row
+                cums.append(total)
+                choices.append((x, y, weight))
+    return cums, choices
+
+
+def _uniforms(totals: list[int], rng: np.random.Generator) -> list[int]:
+    # One exact uniform below each of ``totals``, all read from one buffer
+    # of whole bytes: a value v read from w bytes is kept as v % total when
+    # it lies under the largest multiple of total below 256**w, and is
+    # redrawn otherwise.  One spare byte keeps acceptance above 255/256.
+    out, todo = [0] * len(totals), list(range(len(totals)))
+    while todo:
+        spans = [(totals[j].bit_length() + 7) // 8 + 1 for j in todo]
+        buf, start, redo = rng.bytes(sum(spans)), 0, []
+        for j, w in zip(todo, spans):
+            v = int.from_bytes(buf[start : start + w], "little")
+            start += w
+            if v < 256**w // totals[j] * totals[j]:
+                out[j] = v % totals[j]
+            else:
+                redo.append(j)
+        todo = redo
+    return out
+
+
+def _floyd(n: int, x: int, u: int) -> list[int]:
+    # An x-subset of range(n) by Floyd's algorithm: step j (n - x <= j < n)
+    # takes t uniform on 0..j, or j itself when the subset already holds
+    # t.  The t are the mixed-radix digits of u, so u uniform below
+    # n! / (n - x)! gives a uniform subset.
+    held = set()
+    for j in range(n - x, n):
+        u, t = divmod(u, j + 1)
+        held.add(j if t in held else t)
+    return list(held)
 
 
 def _draw(table: _FanTable, count: int, rng: np.random.Generator) -> list[Level]:
-    ids, norms, widths = table.sites
-    rows: dict[tuple[int, int, int], list] = {}  # built for visited states only
-    levels = []
-    for _ in range(count):
-        a, b, picks = 0, 0, []
-        for i, (ones, twos) in enumerate(table.blocks):
+    # Two batches of exact uniforms draw all ``count`` levels.  The first
+    # gives each level u below the fan size, which walks the blocks: the
+    # row of the level's state (a, b) splits u's range into one segment
+    # per choice (x, y, w), of length comb(ones, x) comb(twos, y) w, and u's
+    # offset in its segment, taken mod w, is again uniform below the next
+    # row's total.  The second batch gives each level the sites of every
+    # block it takes from (Floyd), grouped by (block, width, number taken)
+    # so one index lookup serves a group.  Level j is the j-th independent
+    # draw.
+    if not count:
+        return []
+    rows: dict[tuple[int, int, int], tuple] = {}  # built for visited states only
+    takes: dict[tuple[int, int, int], list[int]] = {}  # (block, width, n) -> levels
+    for j, u in enumerate(_uniforms([table.size] * count, rng)):
+        a = b = 0
+        for i in range(len(table.blocks)):
             row = rows.get((i, a, b))
             if row is None:
                 row = rows[(i, a, b)] = _row(table, i, a, b)
-            u = total = row[-1][0]
-            bits = total.bit_length()
-            while u >= total:  # uniform below total from whole bytes
-                u = int.from_bytes(rng.bytes((bits + 7) // 8), "little") >> (-bits % 8)
-            _, x, y = row[bisect_right(row, u, key=itemgetter(0))]
+            cums, choices = row
+            k = bisect_right(cums, u)
+            x, y, weight = choices[k]
+            u = (u - (cums[k - 1] if k else 0)) % weight
             if x:
-                picks.extend(ones[rng.choice(len(ones), x, replace=False)].tolist())
+                takes.setdefault((i, 0, x), []).append(j)
             if y:
-                picks.extend(twos[rng.choice(len(twos), y, replace=False)].tolist())
+                takes.setdefault((i, 1, y), []).append(j)
             a, b = a + x, b + y
-        levels.append(make_level(
-            PrimeSite(int(ids[j]), float(norms[j]), int(widths[j])) for j in picks
-        ))
-    return levels
+    groups = [(table.blocks[i][w], n, levels) for (i, w, n), levels in takes.items()]
+    us = iter(_uniforms(
+        [math.perm(len(pool), n) for pool, n, levels in groups for _ in levels], rng
+    ))
+    picks = [[] for _ in range(count)]
+    for pool, n, levels in groups:
+        chosen = pool[[_floyd(len(pool), n, next(us)) for _ in levels]].tolist()
+        for j, sites in zip(levels, chosen):
+            picks[j] += sites
+    # sites are sorted by (norm, id), so sorted indices give canonical levels
+    ordered = np.sort(np.array(picks, dtype=np.intp).reshape(count, -1), axis=1)
+    ids, norms, widths = (column[ordered.ravel()].tolist() for column in table.sites)
+    sites = list(map(PrimeSite, ids, norms, widths))
+    m = ordered.shape[1]
+    return [Level(tuple(sites[j * m : (j + 1) * m])) for j in range(count)]
 
 
 def sample_levels(stream, spec: FanSpec, count: int, rng: np.random.Generator) -> list[Level]:
@@ -315,7 +371,9 @@ def sample_levels(stream, spec: FanSpec, count: int, rng: np.random.Generator) -
 
     Each draw walks the blocks of the exact count table, choosing the
     width counts (x, y) in proportion to the levels that complete them,
-    then x width-1 and y width-2 sites of the block uniformly.
+    then x width-1 and y width-2 sites of the block uniformly.  All
+    ``count`` draws are made together from two batches of exact
+    uniforms; the j-th level returned is the j-th independent draw.
     """
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
@@ -460,6 +518,8 @@ def fan_collapse(
     (or sampled walks); the target side is the k-th matrix power of the
     Lagrangian operator, so the two sides are independent constructions.
     """
+    if levels < 1:
+        raise ValidationError(f"levels must be >= 1, got {levels}")
     sampled = sample_levels(stream, spec, levels, rng)
     sampler = None
     if mode == "sampled_at_Y":
@@ -540,6 +600,8 @@ def fan_union_distribution(
     distribution, so the weights are irrelevant there, which is part of
     the point being verified.
     """
+    if levels_per_slice < 1:
+        raise ValidationError(f"levels_per_slice must be >= 1, got {levels_per_slice}")
     sampler = None
     if mode == "sampled_at_Y":
         sampler = TStepSampler(p, y, seed=int(rng.integers(2**62)))

@@ -303,6 +303,24 @@ class JsonFile:
             "fans",
             JsonFile({"m": 2, "k": 3, "X": 10, "orientation": "sideways", "table": "no-table.json"}),
         ],
+        # a repeated place id would overwrite delta_v[id] while delta
+        # multiplies both places; ids are strings, so 5 and "5" collide
+        [
+            "disparity",
+            JsonFile({"rank_of_trivial": 0, "places": [
+                {"id": "a", "characters": [{"h_parity": 0, "delta_value": 1}]},
+                {"id": "a", "characters": [{"h_parity": 0, "delta_value": 1}]},
+            ]}),
+        ],
+        [
+            "disparity",
+            JsonFile({"rank_of_trivial": 0, "places": [
+                {"id": 5, "characters": [{"h_parity": 0, "delta_value": 1}]},
+                {"id": "5", "characters": [{"h_parity": 0, "delta_value": 1}]},
+            ]}),
+        ],
+        # a fan average needs at least one level
+        ["fans", JsonFile({"m": 2, "k": 3, "X": 10, "levels": 0})],
     ],
 )
 def test_bad_input_exits_one(argv, tmp_path, capsys):
@@ -316,6 +334,14 @@ def test_bad_input_exits_one(argv, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_fans_zero_levels_is_rejected_when_read(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"m": 2, "k": 3, "X": 10, "levels": 0}))
+    code, out, err = run(["fans", str(path)], capsys)
+    assert code == 1
+    assert "levels must be >= 1" in err
 
 
 def test_disparity_command(tmp_path, capsys):

@@ -79,6 +79,12 @@ def test_delta_global_examples():
         DisparityTable((), rank_of_trivial=-1)
 
 
+def test_table_rejects_repeated_place_ids():
+    a = place("a", 1, -1, 1)
+    with pytest.raises(sl.ValidationError, match="more than once"):
+        DisparityTable((a, place("b", 1), place("a", 1)), rank_of_trivial=0)
+
+
 def test_delta_global_stays_in_range():
     rng = np.random.default_rng(0)
     for _ in range(50):

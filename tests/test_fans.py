@@ -1,15 +1,25 @@
 """Tests for stratification bounds, level sampling, and fan averaging."""
 
 import math
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2
+from scipy.stats import chi2, chi2_contingency
 
 import selmerlab as sl
-from selmerlab.fans import FanSpec, Level, _fan_table, make_level, width_pattern
+from selmerlab.fans import (
+    FanSpec,
+    Level,
+    _fan_table,
+    _floyd,
+    _uniforms,
+    make_level,
+    width_pattern,
+)
 
 
 SQUARE = sl.ConvergenceRate("power", coeff=1.0, exponent=2.0)
@@ -251,6 +261,62 @@ def test_sample_levels_is_uniform_chi_squared():
     assert chi2.sf(stat, df=len(members) - 1) > 1e-4
 
 
+def chi_squared_p(counts, categories):
+    observed = np.array([counts[c] for c in categories], dtype=float)
+    expected = observed.sum() / len(categories)
+    return chi2.sf(float(((observed - expected) ** 2 / expected).sum()), df=len(categories) - 1)
+
+
+@pytest.mark.parametrize("n, x", [(6, 6), (6, 5), (1, 1), (7, 3)])
+def test_subset_draw_is_uniform_at_its_edges(n, x):
+    # x = n and n = 1 have one subset; x = n - 1 leaves one site out
+    draws = 20_000
+    us = _uniforms([math.perm(n, x)] * draws, np.random.default_rng(17 + n + x))
+    counts = Counter(frozenset(_floyd(n, x, u)) for u in us)
+    subsets = [frozenset(c) for c in combinations(range(n), x)]
+    assert set(counts) == set(subsets)
+    if len(subsets) > 1:
+        assert chi_squared_p(counts, subsets) > 1e-4
+
+
+@pytest.mark.parametrize("ones, twos", [(4, 3), (2, 1), (3, 2)])
+def test_sample_levels_uniform_in_a_block_with_both_widths(ones, twos):
+    # every site lies below L_1 = 100, so the fan is one block holding
+    # both widths; (3, 4) takes two width-1 sites and one width-2 site,
+    # which with (2, 1) is the whole block
+    stream = [site(j, 2.0 + j, 1) for j in range(ones)]
+    stream += [site(ones + j, 50.0 + j, 2) for j in range(twos)]
+    spec = FanSpec.from_rate(SQUARE, 3, 4, 10.0)
+    members = [lv.sites for lv in sl.enumerate_levels(stream, spec)]
+    assert len(_fan_table(stream, spec).blocks) == 1
+    assert len(members) == math.comb(ones, 2) * twos
+    draws = 12_000
+    counts = Counter(
+        lv.sites for lv in sl.sample_levels(stream, spec, draws, np.random.default_rng(18))
+    )
+    assert set(counts) == set(members)
+    if len(members) > 1:
+        assert chi_squared_p(counts, members) > 1e-4
+
+
+def test_sample_levels_returns_levels_in_draw_order():
+    # the block-0 state of a level (its width-1 and width-2 sites below
+    # L_1 = 100) has the same law in both halves of one long draw, as it
+    # would not if levels came back grouped by state
+    stream = [site(j, 1.7 ** (j + 1), 1 + (j % 2)) for j in range(20)]
+    spec = FanSpec.from_rate(SQUARE, 3, 4, 10.0)
+    levels = sl.sample_levels(stream, spec, 20_000, np.random.default_rng(19))
+    states = [
+        tuple(sum(1 for s in lv.sites if s.norm < 100.0 and s.width == w) for w in (1, 2))
+        for lv in levels
+    ]
+    halves = [Counter(states[:10_000]), Counter(states[10_000:])]
+    kinds = sorted(set(states))
+    assert len(kinds) > 1
+    table = [[half[kind] for kind in kinds] for half in halves]
+    assert chi2_contingency(table)[1] > 1e-4
+
+
 def test_sample_levels_sparse_fan_in_a_large_pool():
     # only sites 5 and 500 fit slots 1 and 2, so all 5000 members share
     # them; 5002 sites lie below L_3 = 1e12, so a uniform proposal from
@@ -373,6 +439,15 @@ def test_fan_collapse_residual_exact_is_zero():
         assert res < 1e-12
 
 
+def test_fan_collapse_needs_a_level():
+    spec = FanSpec.from_rate(SQUARE, 2, 3, 10.0)
+    with pytest.raises(sl.ValidationError, match="levels must be >= 1"):
+        sl.fan_collapse(
+            spec, default_stream(), make_initial(32), "exact_kernel", 2,
+            np.random.default_rng(0), levels=0,
+        )
+
+
 def test_fan_collapse_residual_sampled_is_small():
     rng = np.random.default_rng(9)
     stream = default_stream()
@@ -449,6 +524,15 @@ def test_fan_union_no_feasible_slice():
     with pytest.raises(sl.EmptyFan):
         sl.fan_union_distribution(
             default_stream(), 1, 4, 10.0, SQUARE, init, "exact_kernel", 2, rng
+        )
+
+
+def test_fan_union_needs_a_level_per_slice():
+    # zero levels per slice is a bad argument, not an empty fan
+    with pytest.raises(sl.ValidationError, match="levels_per_slice must be >= 1"):
+        sl.fan_union_distribution(
+            default_stream(), 4, 4, 10.0, SQUARE, make_initial(32), "exact_kernel", 2,
+            np.random.default_rng(13), levels_per_slice=0,
         )
 
 
