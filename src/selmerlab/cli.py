@@ -50,7 +50,8 @@ from .disparity import (
     DisparityTable,
     LocalCharacter,
     LocalPlaceData,
-    average_rank,
+    _limit_values,
+    _mean_rank,
     delta_global,
     delta_local,
     end_to_end_fan_experiment,
@@ -346,7 +347,7 @@ def cmd_disparity(args):
     limit = limit_distribution(delta, args.p, args.N, args.orientation)
     footer = {f"delta_v[{place.id}]": delta_local(place) for place in table.places}
     footer["delta"] = delta
-    footer["average_rank"] = average_rank(delta, args.p, args.N, args.orientation)
+    footer["average_rank"] = _mean_rank(limit)
     payload = {
         "params": {"p": args.p, "N": args.N, "orientation": args.orientation},
         "columns": ["n", "limit_mass"],
@@ -363,7 +364,9 @@ def cmd_avg_rank(args):
         grid = list(np.linspace(-0.5, 0.5, max(args.grid, 0)))
     if len(set(grid)) < 2:
         raise ValidationError("the affine fit needs at least two distinct deltas")
-    means = [average_rank(d, args.p, args.N, args.orientation) for d in grid]
+    # c is computed once, so a bad p or N is reported before a bad delta.
+    c = c_constants(LagrangianParams(args.p, args.N))
+    means = [_mean_rank(_limit_values(c, d, args.orientation)) for d in grid]
     slope, intercept = np.polyfit(grid, means, 1)
     payload = {
         "params": {"p": args.p, "N": args.N, "orientation": args.orientation},
@@ -372,7 +375,7 @@ def cmd_avg_rank(args):
         "footer": {
             "intercept": float(intercept),
             "slope": float(slope),
-            "value_at_half": average_rank(0.5, args.p, args.N, args.orientation),
+            "value_at_half": _mean_rank(_limit_values(c, 0.5, args.orientation)),
         },
     }
     return payload, payload["footer"], 0
@@ -383,24 +386,23 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
+    window = _Parser(add_help=False)
+    window.add_argument("-p", type=int, default=2)
+    window.add_argument("-N", type=int, default=64)
+    tilt = _Parser(add_help=False)
+    tilt.add_argument("--orientation", choices=_ORIENTATIONS, default="odd_heavy")
 
     parser = _Parser(prog="selmer-lab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("constants", parents=[common])
-    sp.add_argument("-p", type=int, default=2)
-    sp.add_argument("-N", type=int, default=64)
+    sp = sub.add_parser("constants", parents=[common, window])
     sp.set_defaults(func=cmd_constants)
 
-    sp = sub.add_parser("equilibrium", parents=[common])
-    sp.add_argument("-p", type=int, default=2)
-    sp.add_argument("-N", type=int, default=64)
+    sp = sub.add_parser("equilibrium", parents=[common, window])
     sp.set_defaults(func=cmd_equilibrium)
 
-    sp = sub.add_parser("iterate", parents=[common])
-    sp.add_argument("-p", type=int, default=2)
-    sp.add_argument("-N", type=int, default=64)
+    sp = sub.add_parser("iterate", parents=[common, window])
     sp.add_argument("--initial", default="delta0")
     sp.add_argument("--steps", type=int, default=60)
     sp.set_defaults(func=cmd_iterate)
@@ -409,32 +411,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("spec", help="experiment spec JSON path")
     sp.set_defaults(func=cmd_fans)
 
-    sp = sub.add_parser("disparity", parents=[common])
+    sp = sub.add_parser("disparity", parents=[common, window, tilt])
     sp.add_argument("table", help="disparity table JSON path")
-    sp.add_argument("-p", type=int, default=2)
-    sp.add_argument("-N", type=int, default=64)
-    sp.add_argument(
-        "--orientation", choices=_ORIENTATIONS, default="odd_heavy"
-    )
     sp.set_defaults(func=cmd_disparity)
 
-    sp = sub.add_parser("avg-rank", parents=[common])
-    sp.add_argument("-p", type=int, default=2)
-    sp.add_argument("-N", type=int, default=64)
+    sp = sub.add_parser("avg-rank", parents=[common, window, tilt])
     sp.add_argument("--grid", type=int, default=21)
     sp.add_argument("--deltas", default=None, help="comma-separated override")
-    sp.add_argument(
-        "--orientation", choices=_ORIENTATIONS, default="odd_heavy"
-    )
     sp.set_defaults(func=cmd_avg_rank)
     return parser
 
 
+# Built once per process; parse_args leaves it as it found it.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     started = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         payload, summary, code = args.func(args)
         _emit(payload, args)
     except NumericError as exc:

@@ -17,7 +17,7 @@ an ``orientation`` flag:
                     (1/2 + delta) E+ + (1/2 - delta) E-.
 
 ``odd_heavy`` is the default: it is the convention under which the
-average rank is 1.2646 + 0.1211 delta (the odd-rank mass sum B exceeds
+average rank is 1.2645 + 0.1211 delta (the odd-rank mass sum B exceeds
 the even one A, so the slope (B - A)/... is positive only when delta
 weights the odd side).
 """
@@ -123,8 +123,6 @@ class DisparityTable:
 
 def delta_local(place: LocalPlaceData) -> float:
     """Mean of (-1)**h_parity * delta_value over the place's characters."""
-    if not place.characters:
-        raise EmptyCharacterList(f"place {place.id!r} has no characters")
     return sum(ch.sign for ch in place.characters) / len(place.characters)
 
 
@@ -191,11 +189,15 @@ def limit_distribution(
     ``odd_heavy`` puts (1/2 + delta) c_r on odd r and (1/2 - delta) c_r
     on even r; ``even_heavy`` swaps the coefficients.
     """
+    return _limit_values(c_constants(LagrangianParams(p, N)), delta, orientation)
+
+
+def _limit_values(c: np.ndarray, delta: float, orientation: Orientation) -> Density:
+    # limit_distribution from given c_constants, for callers that tilt one c many times
     if not abs(delta) <= 0.5:
         raise DisparityOutOfRange(f"|delta| must be <= 1/2, got {delta}")
     if orientation not in ("odd_heavy", "even_heavy"):
         raise ValidationError(f"unknown orientation {orientation!r}")
-    c = c_constants(LagrangianParams(p, N))
     values = c.copy()
     odd_coeff = 0.5 + delta if orientation == "odd_heavy" else 0.5 - delta
     even_coeff = 1.0 - odd_coeff
@@ -212,8 +214,11 @@ def average_rank(
     Writing A and B for the even- and odd-rank sums of n * c_n, the
     odd_heavy value is (A + B)/2 + delta (B - A).
     """
-    dist = limit_distribution(delta, p, N, orientation)
-    return float(np.arange(N) @ dist.as_float())
+    return _mean_rank(limit_distribution(delta, p, N, orientation))
+
+
+def _mean_rank(dist: Density) -> float:
+    return float(np.arange(dist.N) @ dist.as_float())
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 """End-to-end tests of the command line interface via main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,3 +403,68 @@ def test_version_flag_exits_zero(capsys):
         cli.main(["--version"])
     assert info.value.code == 0
     assert sl.__version__ in capsys.readouterr().out
+
+
+def test_avg_rank_checks_the_window_before_the_deltas(capsys):
+    # c_n is computed once, before the grid is tilted, so a bad prime is
+    # reported ahead of a bad delta
+    code, out, err = run(["avg-rank", "-p", "4", "--deltas", "0.9,0.1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: p = 4 is not prime")
+    code, out, err = run(["avg-rank", "--deltas", "0.9,0.1"], capsys)
+    assert code == 1
+    assert err.startswith("error: |delta| must be <= 1/2, got 0.9")
+
+
+@pytest.mark.parametrize("command", ["avg-rank", "disparity"])
+def test_c_constants_once_per_command(command, tmp_path, capsys, monkeypatch):
+    calls = []
+    original = sl.lagrangian.c_constants
+
+    def counting(params):
+        calls.append(params)
+        return original(params)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "selmerlab" and getattr(module, "c_constants", None) is original:
+            monkeypatch.setattr(module, "c_constants", counting)
+    table = tmp_path / "table.json"
+    table.write_text(table_json())
+    argv = [command, str(table)] if command == "disparity" else [command]
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_parser_reuse_leaks_nothing_between_calls(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(table_json())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"m": 2, "k": 3, "X": 10.0, "levels": 3}))
+    artifact = tmp_path / "a.json"
+    code, out, err = run(
+        ["avg-rank", "--deltas", "0.1,0.3", "--orientation", "even_heavy", "-p", "3",
+         "-N", "12", "--seed", "5", "--out", str(artifact), "--format", "json"],
+        capsys,
+    )
+    assert (code, out) == (0, "")
+    assert json.loads(artifact.read_text())["params"]["orientation"] == "even_heavy"
+    code, out, err = run(["avg-rank", "--grid", "1"], capsys)
+    assert code == 1
+
+    src = str(Path(sl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (
+        ["avg-rank", "--format", "json"], ["constants"], ["equilibrium"], ["iterate"],
+        ["disparity", str(table)], ["fans", str(spec)],
+    ):
+        code, out, err = run(argv, capsys)
+        report = json.loads(err)
+        assert (report["seed"], report["out"]) == (0, None)
+        alone = subprocess.run(
+            [sys.executable, "-m", "selmerlab.cli", *argv],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert (code, out.encode()) == (alone.returncode, alone.stdout), argv

@@ -15,6 +15,8 @@ from selmerlab.disparity import (
     InitialPair,
     LocalCharacter,
     LocalPlaceData,
+    _limit_values,
+    _mean_rank,
 )
 
 
@@ -219,6 +221,25 @@ def test_average_rank_from_parity_sums(p, delta):
     even = sl.average_rank(delta, p, orientation="even_heavy")
     assert odd == pytest.approx((a + b) / 2 + delta * (b - a), abs=1e-12)
     assert even == pytest.approx((a + b) / 2 - delta * (b - a), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    N=st.sampled_from([12, 32, 64]),
+    orientation=st.sampled_from(["odd_heavy", "even_heavy"]),
+    deltas=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4),
+)
+def test_one_c_for_many_deltas_matches_the_public_functions(p, N, orientation, deltas):
+    # the CLI computes c once and tilts it for every delta; each tilt
+    # must be bit-identical to a fresh public call and leave c untouched
+    c = sl.c_constants(sl.LagrangianParams(p, N))
+    before = c.copy()
+    for delta in deltas:
+        dist = _limit_values(c, delta, orientation)
+        assert np.array_equal(dist.values, sl.limit_distribution(delta, p, N, orientation).values)
+        assert _mean_rank(dist) == sl.average_rank(delta, p, N, orientation)
+    assert np.array_equal(c, before)
 
 
 def test_pairs_with_equal_parity_masses_share_limits():
