@@ -35,7 +35,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .distributions import Density, apply, l1_distance, make_density, rho_parity
+from .distributions import Density, _parity_weighted, apply, l1_distance, make_density, rho_parity
 from .errors import NumericError, SelmerLabError, ValidationError
 from .lagrangian import (
     LagrangianParams,
@@ -204,8 +204,8 @@ def _parse_initial(spec: str, N: int) -> Density:
 def cmd_constants(args):
     params = LagrangianParams(args.p, args.N)
     c = c_constants(params)
-    even = np.cumsum(np.where(np.arange(args.N) % 2 == 0, c, 0.0))
-    odd = np.cumsum(np.where(np.arange(args.N) % 2 == 1, c, 0.0))
+    even = np.cumsum(_parity_weighted(c, 0.0))
+    odd = np.cumsum(_parity_weighted(c, 1.0))
     payload = {
         "params": {"p": args.p, "N": args.N},
         "columns": ["n", "c_n", "cum_even", "cum_odd"],

@@ -13,8 +13,10 @@ an ``orientation`` flag:
 
 * ``odd_heavy`` puts mass (1/2 + delta) c_r on odd ranks r and
                     (1/2 - delta) c_r on even ranks;
-* ``even_heavy`` is the same with the parities swapped, equivalently
-                    (1/2 + delta) E+ + (1/2 - delta) E-.
+* ``even_heavy`` is the same with the parities swapped.
+
+Either way the limit is ``predicted_limit`` at odd mass 1/2 + delta
+(``odd_heavy``) or 1/2 - delta (``even_heavy``).
 
 ``odd_heavy`` is the default: it is the convention under which the
 average rank is 1.2645 + 0.1211 delta (the odd-rank mass sum B exceeds
@@ -34,6 +36,7 @@ from .distributions import (
     TOL_TAIL,
     Density,
     _density_unchecked,
+    _parity_weighted,
     apply,
     l1_distance,
     make_density,
@@ -198,12 +201,8 @@ def _limit_values(c: np.ndarray, delta: float, orientation: Orientation) -> Dens
         raise DisparityOutOfRange(f"|delta| must be <= 1/2, got {delta}")
     if orientation not in ("odd_heavy", "even_heavy"):
         raise ValidationError(f"unknown orientation {orientation!r}")
-    values = c.copy()
-    odd_coeff = 0.5 + delta if orientation == "odd_heavy" else 0.5 - delta
-    even_coeff = 1.0 - odd_coeff
-    values[0::2] *= even_coeff
-    values[1::2] *= odd_coeff
-    return _density_unchecked(values, TOL_TAIL)
+    odd_mass = 0.5 + delta if orientation == "odd_heavy" else 0.5 - delta
+    return _density_unchecked(_parity_weighted(c, odd_mass), TOL_TAIL)
 
 
 def average_rank(
@@ -264,6 +263,8 @@ def end_to_end_fan_experiment(
     if rng is None:
         rng = np.random.default_rng(0)
     delta = delta_global(table)
+    # Built first: it reads no rng and rejects a bad orientation before any sampling.
+    limit = limit_distribution(delta, p, N, orientation)
     pair_delta = -delta if orientation == "odd_heavy" else delta
     pair = initial_from_disparity(pair_delta, N)
     config = stream if stream is not None else StreamConfig(seed=0)
@@ -275,7 +276,6 @@ def end_to_end_fan_experiment(
         pair.e1_plus if k % 2 == 0 else pair.e1_minus,
         mode, p, rng, levels=levels, walks=walks, y=y,
     )
-    limit = limit_distribution(delta, p, N, orientation)
     return FanExperimentReport(
         delta=delta,
         fan=fan,

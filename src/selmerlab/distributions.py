@@ -11,10 +11,10 @@ arithmetic backends behind one interface: float64 arrays for iteration
 and simulation, and ``fractions.Fraction`` object arrays when an
 identity has to hold exactly.
 
-Parity is the mass a density puts on odd ranks.  The parity functional
-:func:`rho_parity`, the projections onto even and odd support, and the
-zero-pattern classification of operators as parity preserving or
-reversing are the pieces the equilibrium arguments downstream rely on.
+Parity is the mass a density puts on odd ranks (:func:`rho_parity`).
+``_parity_weighted`` scales the even ranks by 1 - w and the odd by w:
+E+, E- and every limit law downstream are the c_n under it at some w,
+and :func:`project_parity` is a density under it at w = 0 or 1.
 """
 
 from __future__ import annotations
@@ -211,10 +211,15 @@ def project_parity(f: Density, side: Side) -> np.ndarray:
     """
     if side not in ("even", "odd"):
         raise ValidationError(f"side must be 'even' or 'odd', got {side!r}")
-    out = f.values.copy()
-    zero = Fraction(0) if f.exact else 0.0
-    start = 1 if side == "even" else 0
-    out[start::2] = zero
+    return _parity_weighted(f.values, 0 if side == "even" else 1)
+
+
+def _parity_weighted(values: np.ndarray, odd_mass) -> np.ndarray:
+    # A copy with even ranks scaled by 1 - odd_mass and odd ranks by
+    # odd_mass.  Integer weights 0 and 1 keep Fraction entries exact.
+    out = values.copy()
+    out[0::2] *= 1 - odd_mass
+    out[1::2] *= odd_mass
     return out
 
 

@@ -113,19 +113,15 @@ class ConvergenceRate:
 
 
 def strat_bounds(rate: ConvergenceRate, m: int, X: float) -> tuple[float, ...]:
-    """Log-domain stratification bounds (log L_1, ..., log L_{m+1}).
-
-    One extra bound beyond the m slots is kept so a further prime can
-    be appended to a full level in the averaging experiments.
-    """
+    """Log-domain stratification bounds (log L_1, ..., log L_m), one per slot."""
     if not X >= 1.0:
         raise ValidationError(f"X must be >= 1, got {X}")
     if m < 0 or m > 1000:
         raise ValidationError(f"m must be in 0..1000, got {m}")
     log_x = math.log(X)
     try:
-        logs = [rate.log_value(log_x)]
-        for n in range(1, m + 1):
+        logs = [rate.log_value(log_x)] if m else []
+        for n in range(1, m):
             logs.append(max(rate.log_value(sum(logs[:n])), log_x + logs[n - 1]))
     except OverflowError as exc:
         raise ValidationError(f"stratification bounds overflow: {exc}") from None
@@ -134,7 +130,7 @@ def strat_bounds(rate: ConvergenceRate, m: int, X: float) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class FanSpec:
-    """(m, k, X) plus the log-domain bounds L_1..L_{m+1}."""
+    """(m, k, X) plus the log-domain bounds L_1..L_m, one per slot."""
 
     m: int
     k: int
@@ -144,10 +140,8 @@ class FanSpec:
     def __post_init__(self) -> None:
         if self.m < 0 or self.k < 0:
             raise ValidationError(f"m and k must be >= 0, got m={self.m}, k={self.k}")
-        if len(self.log_bounds) != self.m + 1:
-            raise ValidationError(
-                f"expected {self.m + 1} bounds, got {len(self.log_bounds)}"
-            )
+        if len(self.log_bounds) != self.m:
+            raise ValidationError(f"expected {self.m} bounds, got {len(self.log_bounds)}")
         if any(b > a for a, b in zip(self.log_bounds[1:], self.log_bounds)):
             raise ValidationError("stratification bounds must be nondecreasing")
 
@@ -243,7 +237,7 @@ def _fan_table(stream, spec) -> _FanTable:
     ids, norms, widths = _site_arrays(stream)
     keep = np.flatnonzero(widths)
     positive = norms[keep]
-    cuts = [bisect_left(positive, b, key=math.log) for b in spec.log_bounds[: spec.m]]
+    cuts = [bisect_left(positive, b, key=math.log) for b in spec.log_bounds]
     edges = sorted(set(cuts))
     blocks = []
     for lo, hi in zip([0] + edges, edges):

@@ -49,6 +49,7 @@ from .distributions import (
     Side,
     _density_unchecked,
     _freeze,
+    _parity_weighted,
     apply,
     l1_distance,
     make_density,
@@ -83,6 +84,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_window(N: int) -> None:
+    # The one rank-window rule: a width-1 step must be able to flip parity.
+    if N < 2:
+        raise ValidationError(f"N must be >= 2, got {N}")
+
+
 @dataclass(frozen=True)
 class LagrangianParams:
     """Prime modulus, rank-window size, and tail length for the c_n product."""
@@ -94,8 +101,7 @@ class LagrangianParams:
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
             raise InvalidPrime(f"p = {self.p} is not prime")
-        if self.N < 2:
-            raise ValidationError(f"N must be >= 2, got {self.N}")
+        _check_window(self.N)
         if self.tail_terms < 50:
             raise ValidationError(f"tail_terms must be >= 50, got {self.tail_terms}")
 
@@ -213,12 +219,8 @@ def equilibrium(params: LagrangianParams) -> EquilibriumPair:
     enough that the tail is below ``TOL_TAIL`` (N >= 12 covers p >= 2).
     """
     c = c_constants(params)
-    plus = c.copy()
-    plus[1::2] = 0.0
-    minus = c.copy()
-    minus[0::2] = 0.0
-    e_plus = _density_unchecked(plus, TOL_TAIL)
-    e_minus = _density_unchecked(minus, TOL_TAIL)
+    e_plus = _density_unchecked(_parity_weighted(c, 0.0), TOL_TAIL)
+    e_minus = _density_unchecked(_parity_weighted(c, 1.0), TOL_TAIL)
     return EquilibriumPair(e_plus, e_minus, c)
 
 
@@ -248,9 +250,5 @@ def predicted_limit(f: Density, power_parity: Side, params: LagrangianParams) ->
     """The limit (1-rho)E+ + rho E- of even powers, swapped for odd powers."""
     if power_parity not in ("even", "odd"):
         raise ValidationError(f"power_parity must be 'even' or 'odd', got {power_parity!r}")
-    rho = rho_parity(f)
-    pair = equilibrium(params)
-    if power_parity == "odd":
-        rho = 1.0 - rho
-    values = (1.0 - rho) * pair.e_plus.values + rho * pair.e_minus.values
-    return make_density(values, params.N, tol=TOL_TAIL)
+    rho = rho_parity(f) if power_parity == "even" else 1.0 - rho_parity(f)
+    return make_density(_parity_weighted(c_constants(params), rho), params.N, tol=TOL_TAIL)

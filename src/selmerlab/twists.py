@@ -49,7 +49,7 @@ from .distributions import (
     _freeze,
 )
 from .errors import DegenerateConfig, InvalidPrime, ValidationError
-from .lagrangian import _is_prime
+from .lagrangian import _check_window, _is_prime
 
 __all__ = [
     "S3_WIDTH_DENSITIES",
@@ -244,6 +244,7 @@ def exact_step_kernel(i: int, p: int, N: int, *, exact: bool = False) -> BandedO
     top rows folds down two ranks (width 1: the same fold as the
     Lagrangian; width 2: onto the diagonal), keeping parity behavior.
     """
+    _check_window(N)
     if exact:
         matrix = np.full((N, N), Fraction(0), dtype=object)
     else:
@@ -369,6 +370,7 @@ def simulate_walks(
     the law of per-walk stepping, and the cost depends on the occupied
     ranks, not on W.
     """
+    _check_window(initial.N)
     if walks < 1:
         raise ValidationError(f"walks must be >= 1, got {walks}")
     pvals = initial.as_float()

@@ -264,8 +264,8 @@ class JsonFile:
         ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "stream": {"growth_rate": 1e400}})],
         ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "stream": {"X": 1e400}})],
         ["disparity", JsonFile({"rank_of_trivial": 1e400, "places": []})],
-        # exp(exp(log 10)) overflows while the bounds are built
-        ["fans", JsonFile({"m": 2, "k": 3, "X": 10, "rate": {"family": "exponential", "a": 5}})],
+        # log L_3 = 5 exp(50 + 5 exp(50)) overflows while the bounds are built
+        ["fans", JsonFile({"m": 3, "k": 4, "X": 10, "rate": {"family": "exponential", "a": 5}})],
         # a sampled run needs at least one walk per level
         ["fans", JsonFile({"m": 2, "k": 3, "X": 10.0, "mode": "sampled", "walks": 0})],
         [
@@ -338,6 +338,17 @@ def test_bad_input_exits_one(argv, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_fans_runs_when_only_an_unused_bound_would_overflow(tmp_path, capsys):
+    # L_1..L_3 = e^2, e^7.39 and e^11957 are finite; L_4, which no slot
+    # reads, is not
+    path = tmp_path / "spec.json"
+    spec = {"m": 3, "k": 4, "X": 2.0, "rate": {"family": "exponential", "a": 1}}
+    path.write_text(json.dumps(spec))
+    code, out, err = run(["fans", str(path), "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["footer"]["residual"] < 1e-10
 
 
 def test_fans_zero_levels_is_rejected_when_read(tmp_path, capsys):

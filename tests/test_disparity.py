@@ -190,6 +190,29 @@ def test_limit_distribution_is_equilibrium_mixture():
         assert np.abs(lim.values - mix).max() < 1e-12
 
 
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    N=st.sampled_from([12, 32, 64]),
+    delta=st.floats(-0.5, 0.5),
+    orientation=st.sampled_from(["odd_heavy", "even_heavy"]),
+)
+def test_limit_distribution_is_predicted_limit_bit_for_bit(p, N, delta, orientation):
+    # the delta-tilted limit is the even-power limit of a start with odd
+    # mass w = 1/2 +- delta; both apply one parity rule to the same c_n
+    w = 0.5 + delta if orientation == "odd_heavy" else 0.5 - delta
+    params = sl.LagrangianParams(p, N)
+    start = sl.make_density([1 - w, w], N)
+    predicted = sl.predicted_limit(start, "even", params)
+    limit = sl.limit_distribution(delta, p, N, orientation)
+    assert limit.values.tobytes() == predicted.values.tobytes()
+    # an odd power weights the odd ranks by 1.0 - rho, which is the odd
+    # mass of the swapped start, not w itself (1 - (1 - w) != w in floats)
+    swapped = sl.make_density([w, 1 - w], N)
+    odd = sl.predicted_limit(start, "odd", params)
+    assert odd.values.tobytes() == sl.predicted_limit(swapped, "even", params).values.tobytes()
+
+
 def test_average_rank_reference_values():
     assert sl.average_rank(0.0) == pytest.approx(1.2645, abs=5e-4)
     assert sl.average_rank(0.5) == pytest.approx(1.3252, abs=5e-4)
@@ -296,6 +319,17 @@ def test_end_to_end_infeasible_shape():
             delta02_table(), rate(), 1, 3, 10.0, "exact_kernel", 2,
             rng=np.random.default_rng(3),
         )
+
+
+def test_end_to_end_bad_orientation_fails_before_sampling():
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(sl.ValidationError):
+        sl.end_to_end_fan_experiment(
+            delta02_table(), rate(), 6, 9, 10.0, "sampled_at_Y", 2,
+            rng=rng, levels=30, walks=100_000, y=1000.0, orientation="junk",
+        )
+    assert rng.bit_generator.state == before
 
 
 def test_end_to_end_sampled_tracks_exact():

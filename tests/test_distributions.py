@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selmerlab as sl
 
@@ -81,6 +83,25 @@ def test_project_parity_sum_is_exact():
         f = sl.make_density(raw / raw.sum())
         total = sl.project_parity(f, "even") + sl.project_parity(f, "odd")
         assert np.array_equal(total, f.values)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    weights=st.lists(st.integers(0, 1000), min_size=1, max_size=12).filter(any),
+    side=st.sampled_from(["even", "odd"]),
+)
+def test_project_parity_keeps_the_backend(weights, side):
+    # exact densities project to Fractions, float densities to the same
+    # bits as zeroing the other parity class
+    keep = np.arange(len(weights)) % 2 == (0 if side == "even" else 1)
+    total = sum(weights)
+    exact = sl.make_density([Fraction(w, total) for w in weights])
+    out = sl.project_parity(exact, side)
+    assert all(type(x) is Fraction for x in out)
+    assert list(out) == [x if k else 0 for x, k in zip(exact.values, keep)]
+    floats = sl.make_density([w / total for w in weights])
+    expect = np.where(keep, floats.values, 0.0)
+    assert sl.project_parity(floats, side).tobytes() == expect.tobytes()
 
 
 def test_apply_identity_and_lagrangian():

@@ -54,13 +54,13 @@ def test_rate_values():
 
 def test_strat_bounds_recursion():
     # R(Y) = Y**2, X = 10: L1 = 100, L2 = max(100**2, 10*100) = 1e4,
-    # L3 = max((100 * 1e4)**2, 10 * 1e4) = 1e12
-    logs = sl.strat_bounds(SQUARE, 2, 10.0)
+    # L3 = max((100 * 1e4)**2, 10 * 1e4) = 1e12; one bound per slot
+    logs = sl.strat_bounds(SQUARE, 3, 10.0)
     assert len(logs) == 3
     assert logs[0] == pytest.approx(math.log(100.0))
     assert logs[1] == pytest.approx(math.log(1.0e4))
     assert logs[2] == pytest.approx(math.log(1.0e12))
-    assert len(sl.strat_bounds(SQUARE, 0, 10.0)) == 1
+    assert len(sl.strat_bounds(SQUARE, 0, 10.0)) == 0
     with pytest.raises(sl.ValidationError):
         sl.strat_bounds(SQUARE, 2, 0.5)
     with pytest.raises(sl.ValidationError):
@@ -68,25 +68,25 @@ def test_strat_bounds_recursion():
     # R(Y) = exp(5 Y) at X = 10: log L_1 = 50 and log L_2 = 5 exp(50), so
     # log L_3 = 5 exp(50 + 5 exp(50)) overflows
     with pytest.raises(sl.ValidationError):
-        sl.strat_bounds(sl.ConvergenceRate("exponential", 1.0, 5.0), 2, 10.0)
+        sl.strat_bounds(sl.ConvergenceRate("exponential", 1.0, 5.0), 3, 10.0)
 
 
 def test_strat_bounds_linear_rate():
     # with R(Y) = Y the X * L_n branch drives the first steps, then the
     # product branch takes over: R(10 * 100 * 1000) = 1e6 > 10 * 1000
     ident = sl.ConvergenceRate("power", 1.0, 1.0)
-    logs = sl.strat_bounds(ident, 3, 10.0)
+    logs = sl.strat_bounds(ident, 4, 10.0)
     assert [math.exp(v) for v in logs] == pytest.approx([10.0, 100.0, 1000.0, 1.0e6])
 
 
 def test_fan_spec_validation():
     spec = FanSpec.from_rate(SQUARE, 2, 3, 10.0)
     assert spec.m == 2 and spec.k == 3
-    assert len(spec.log_bounds) == 3
+    assert len(spec.log_bounds) == 2
     with pytest.raises(sl.ValidationError):
-        FanSpec(2, 2, 10.0, (1.0, 2.0))  # needs m + 1 bounds
+        FanSpec(3, 3, 10.0, (1.0, 2.0))  # needs m bounds
     with pytest.raises(sl.ValidationError):
-        FanSpec(1, 1, 10.0, (2.0, 1.0))  # bounds must be nondecreasing
+        FanSpec(2, 2, 10.0, (2.0, 1.0))  # bounds must be nondecreasing
     with pytest.raises(sl.ValidationError):
         FanSpec(-1, 0, 10.0, (1.0,))
 

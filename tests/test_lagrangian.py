@@ -29,6 +29,13 @@ def test_params_validation():
         sl.LagrangianParams(2, 64, tail_terms=0)
 
 
+def test_params_reject_a_one_rank_window():
+    # the same rule and message as the step kernels and the walks
+    for N in (1, 0):
+        with pytest.raises(sl.ValidationError, match="N must be >= 2"):
+            sl.LagrangianParams(2, N)
+
+
 def test_operator_entries_p2():
     M = sl.build_lagrangian(sl.LagrangianParams(2, 8))
     m = M.matrix
@@ -199,6 +206,20 @@ def test_predicted_limit_trivial_cases():
     pred_odd = sl.predicted_limit(f, "odd", params)
     expect_odd = 0.75 * pair.e_plus.values + 0.25 * pair.e_minus.values
     assert np.abs(pred_odd.values - expect_odd).max() < 1e-12
+
+
+def test_predicted_limit_checks_only_the_limit_it_returns():
+    # at p = 2, N = 8 the odd class holds c_1..c_7 (tail c_9 ~ 2e-11)
+    # but the even class misses c_8 ~ 5e-9, so E+ fails TOL_TAIL while a
+    # pure odd start's limit, E- alone, is a valid density
+    params = sl.LagrangianParams(2, 8)
+    with pytest.raises(sl.NotNormalized):
+        sl.equilibrium(params)
+    pred = sl.predicted_limit(sl.make_density([0.0, 1.0], 8), "even", params)
+    c = sl.c_constants(params)
+    assert pred.values.tolist() == [0.0, c[1], 0.0, c[3], 0.0, c[5], 0.0, c[7]]
+    with pytest.raises(sl.NotNormalized):
+        sl.predicted_limit(sl.make_density([1.0], 8), "even", params)
 
 
 def test_predicted_limit_matches_iteration():

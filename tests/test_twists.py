@@ -258,6 +258,14 @@ def test_exact_step_kernel_row_zero():
     assert K2.matrix[0, 2] == 0.5
 
 
+def test_exact_step_kernel_rejects_a_one_rank_window():
+    for i in (1, 2):
+        with pytest.raises(sl.ValidationError, match="N must be >= 2"):
+            sl.exact_step_kernel(i, 2, 1)
+    # the smallest window already flips parity at width 1
+    assert sl.exact_step_kernel(1, 2, 2).matrix.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
 def test_exact_step_kernel_exact_backend():
     K2 = sl.exact_step_kernel(2, 3, 12, exact=True)
     assert all(row.sum() == 1 for row in K2.matrix)
@@ -343,6 +351,13 @@ def test_simulate_walks_folds_at_window_edge():
     K2 = sl.exact_step_kernel(2, p, 3).matrix
     expect = init.values @ np.linalg.matrix_power(K2, 8)
     assert np.abs(out.values - expect).max() < 5.0 / math.sqrt(walks)
+
+
+def test_simulate_walks_rejects_a_one_rank_window():
+    # a width-1 step must flip parity, which one rank cannot hold
+    init = sl.make_density([1.0], 1)
+    with pytest.raises(sl.ValidationError, match="N must be >= 2"):
+        sl.simulate_walks([1, 2], init, 2, 10, np.random.default_rng(12))
 
 
 def test_simulate_walks_rejects_bad_walk_counts():
