@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("avg-rank", parents=[common, window, tilt])
     sp.add_argument("--grid", type=int, default=21)
-    sp.add_argument("--deltas", default=None, help="comma-separated override")
+    sp.add_argument("--deltas", help="comma-separated override, e.g. --deltas=-0.5,0,0.5")
     sp.set_defaults(func=cmd_avg_rank)
     return parser
 

@@ -213,10 +213,11 @@ class _FanTable(NamedTuple):
     after: list  # per block: (need, completions once the block is done)
     size: int  # |D(m, k, X)|
     sites: tuple  # (ids, norms, widths), sorted by (norm, id)
+    spec: FanSpec
 
 
 def _fan_table(stream, spec) -> _FanTable:
-    """Exact count of the fan, split into blocks: (blocks, after, size, sites).
+    """Exact count of the fan, split into blocks: (blocks, after, size, sites, spec).
 
     With the positive-width sites sorted by (norm, id), slot j's bound
     becomes a cut index cut_j: a sorted level lies in the fan exactly
@@ -257,7 +258,7 @@ def _fan_table(stream, spec) -> _FanTable:
         counts = np.zeros_like(counts)
         for x in range(min(len(ones), n1) + 1):
             counts[: n1 + 1 - x] += math.comb(len(ones), x) * partial[x:]
-    return _FanTable(blocks, after, counts[0, 0], (ids, norms, widths))
+    return _FanTable(blocks, after, counts[0, 0], (ids, norms, widths), spec)
 
 
 def _row(
@@ -314,7 +315,7 @@ def _floyd(n: int, x: int, u: int) -> list[int]:
     return list(held)
 
 
-def _draw(table: _FanTable, count: int, rng: np.random.Generator) -> list[Level]:
+def _draw(table: _FanTable, count: int, rng: np.random.Generator) -> np.ndarray:
     # Two batches of exact uniforms draw all ``count`` levels.  The first
     # gives each level u below the fan size, which walks the blocks: the
     # row of the level's state (a, b) splits u's range into one segment
@@ -322,10 +323,21 @@ def _draw(table: _FanTable, count: int, rng: np.random.Generator) -> list[Level]
     # offset in its segment, taken mod w, is again uniform below the next
     # row's total.  The second batch gives each level the sites of every
     # block it takes from (Floyd), grouped by (block, width, number taken)
-    # so one index lookup serves a group.  Level j is the j-th independent
-    # draw.
-    if not count:
-        return []
+    # so one index lookup serves a group.  Row j of the result holds the
+    # sorted site indices of the j-th independent draw.
+    spec = table.spec
+    if count < 0:
+        raise ValidationError(f"count must be >= 0, got {count}")
+    if not table.size:
+        n1, n2 = width_pattern(spec.m, spec.k)
+        widths = table.sites[2]
+        if np.count_nonzero(widths == 1) < n1 or np.count_nonzero(widths == 2) < n2:
+            raise InfeasibleFan(
+                f"(m, k) = ({spec.m}, {spec.k}) needs {n1} width-1 and {n2} width-2 sites"
+            )
+        raise EmptyFan(
+            f"no level in this stream satisfies (m, k, X) = ({spec.m}, {spec.k}, {spec.X})"
+        )
     rows: dict[tuple[int, int, int], tuple] = {}  # built for visited states only
     takes: dict[tuple[int, int, int], list[int]] = {}  # (block, width, n) -> levels
     for j, u in enumerate(_uniforms([table.size] * count, rng)):
@@ -353,11 +365,7 @@ def _draw(table: _FanTable, count: int, rng: np.random.Generator) -> list[Level]
         for j, sites in zip(levels, chosen):
             picks[j] += sites
     # sites are sorted by (norm, id), so sorted indices give canonical levels
-    ordered = np.sort(np.array(picks, dtype=np.intp).reshape(count, -1), axis=1)
-    ids, norms, widths = (column[ordered.ravel()].tolist() for column in table.sites)
-    sites = list(map(PrimeSite, ids, norms, widths))
-    m = ordered.shape[1]
-    return [Level(tuple(sites[j * m : (j + 1) * m])) for j in range(count)]
+    return np.sort(np.array(picks, dtype=np.intp).reshape(count, spec.m), axis=1)
 
 
 def sample_levels(stream, spec: FanSpec, count: int, rng: np.random.Generator) -> list[Level]:
@@ -369,20 +377,10 @@ def sample_levels(stream, spec: FanSpec, count: int, rng: np.random.Generator) -
     ``count`` draws are made together from two batches of exact
     uniforms; the j-th level returned is the j-th independent draw.
     """
-    if count < 0:
-        raise ValidationError(f"count must be >= 0, got {count}")
     table = _fan_table(stream, spec)
-    if not table.size:
-        n1, n2 = width_pattern(spec.m, spec.k)
-        widths = table.sites[2]
-        if np.count_nonzero(widths == 1) < n1 or np.count_nonzero(widths == 2) < n2:
-            raise InfeasibleFan(
-                f"(m, k) = ({spec.m}, {spec.k}) needs {n1} width-1 and {n2} width-2 sites"
-            )
-        raise EmptyFan(
-            f"no level in this stream satisfies (m, k, X) = ({spec.m}, {spec.k}, {spec.X})"
-        )
-    return _draw(table, count, rng)
+    rows = _draw(table, count, rng)
+    ids, norms, widths = (column[rows].tolist() for column in table.sites)
+    return [Level(tuple(map(PrimeSite, *site))) for site in zip(ids, norms, widths)]
 
 
 def enumerate_levels(stream, spec: FanSpec) -> list[Level]:
@@ -435,15 +433,19 @@ def level_rank_distribution(
     ``walks`` Monte Carlo walks, optionally through a cutoff-perturbed
     sampler, and returns the empirical density.
     """
+    return _twisted([site.width for site in level.sites], initial, mode, p, rng, walks, sampler)
+
+
+def _twisted(widths, initial, mode, p, rng, walks, sampler) -> Density:
+    # level_rank_distribution of a level given by its widths in norm order.
     if mode == "exact_kernel":
         out = initial
-        for site in level.sites:
-            out = apply(_cached_kernel(site.width, p, initial.N), out)
+        for width in widths:
+            out = apply(_cached_kernel(width, p, initial.N), out)
         return out
     if mode == "sampled_at_Y":
         if rng is None:
             raise ValidationError("sampled mode needs an rng")
-        widths = [site.width for site in level.sites]
         return simulate_walks(widths, initial, p, walks, rng, sampler)
     raise ValidationError(f"unknown mode {mode!r}")
 
@@ -465,29 +467,27 @@ def fan_distribution(
     In sampled mode the walk budget is split evenly across levels and
     each level gets its own spawned RNG substream.
     """
-    if not levels:
+    rows = [[site.width for site in level.sites] for level in levels]
+    return _fan_average(rows, initial, mode, p, rng, walks, sampler)
+
+
+def _fan_average(rows, initial, mode, p, rng, walks, sampler) -> Density:
+    # fan_distribution of levels given as width rows in norm order.
+    if not rows:
         raise EmptyFan("fan average over an empty list of levels")
     if mode == "exact_kernel":
         # An exact level distribution depends only on the level's widths in
         # norm order, and a fan repeats few width sequences.
-        memo: dict[tuple[int, ...], np.ndarray] = {}
-        stack = []
-        for lv in levels:
-            key = tuple(site.width for site in lv.sites)
-            if key not in memo:
-                memo[key] = level_rank_distribution(lv, initial, mode, p).values
-            stack.append(memo[key])
-        return _density_unchecked(np.mean(stack, axis=0))
+        rows = [tuple(row) for row in rows]
+        memo = {row: _twisted(row, initial, mode, p, None, 0, None) for row in set(rows)}
+        return _density_unchecked(np.mean([memo[row].values for row in rows], axis=0))
     if rng is None:
         raise ValidationError("sampled mode needs an rng")
-    if walks < len(levels):
-        raise ValidationError(f"need a walk per level, got {walks} for {len(levels)} levels")
-    walks_per_level = walks // len(levels)
+    if walks < len(rows):
+        raise ValidationError(f"need a walk per level, got {walks} for {len(rows)} levels")
     stack = [
-        level_rank_distribution(
-            level, initial, mode, p, child, walks=walks_per_level, sampler=sampler
-        ).values
-        for level, child in zip(levels, rng.spawn(len(levels)))
+        _twisted(row, initial, mode, p, child, walks // len(rows), sampler).values
+        for row, child in zip(rows, rng.spawn(len(rows)))
     ]
     return _density_unchecked(np.mean(stack, axis=0))
 
@@ -514,11 +514,10 @@ def fan_collapse(
     """
     if levels < 1:
         raise ValidationError(f"levels must be >= 1, got {levels}")
-    sampled = sample_levels(stream, spec, levels, rng)
-    sampler = None
-    if mode == "sampled_at_Y":
-        sampler = TStepSampler(p, y, seed=int(rng.integers(2**62)))
-    fan = fan_distribution(sampled, initial, mode, p, rng, walks=walks, sampler=sampler)
+    table = _fan_table(stream, spec)
+    rows = table.sites[2][_draw(table, levels, rng)].tolist()
+    sampler = TStepSampler(p, y, seed=int(rng.integers(2**62))) if mode == "sampled_at_Y" else None
+    fan = _fan_average(rows, initial, mode, p, rng, walks, sampler)
     return fan, apply(_cached_power(p, initial.N, spec.k), initial)
 
 
@@ -596,24 +595,20 @@ def fan_union_distribution(
     """
     if levels_per_slice < 1:
         raise ValidationError(f"levels_per_slice must be >= 1, got {levels_per_slice}")
-    sampler = None
-    if mode == "sampled_at_Y":
-        sampler = TStepSampler(p, y, seed=int(rng.integers(2**62)))
+    sampler = TStepSampler(p, y, seed=int(rng.integers(2**62))) if mode == "sampled_at_Y" else None
     slices = []
     for m in range((k + 1) // 2, min(k, m_max) + 1) if k > 0 else [0]:
         spec = FanSpec.from_rate(rate, m, k, X)
         table = _fan_table(stream, spec)
         if table.size:
-            slices.append((_draw(table, levels_per_slice, rng), table.size))
+            rows = _draw(table, levels_per_slice, rng)
+            slices.append((table.sites[2][rows].tolist(), table.size))
     if not slices:
         raise EmptyFan(f"no feasible fan slice for k = {k} with m <= {m_max}")
-    walks_per_slice = walks // len(slices)
     union_size = sum(size for _, size in slices)
     total = np.zeros(initial.N)
-    for levels, size in slices:
-        dist = fan_distribution(
-            levels, initial, mode, p, rng, walks=walks_per_slice, sampler=sampler
-        )
+    for rows, size in slices:
+        dist = _fan_average(rows, initial, mode, p, rng, walks // len(slices), sampler)
         # int / int is correctly rounded even where the sizes overflow a float
         total = total + (size / union_size) * dist.as_float()
     return _density_unchecked(total)

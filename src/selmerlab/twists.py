@@ -39,6 +39,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -213,6 +214,11 @@ def t_distribution(i: int, r: int, p: int, *, exact: bool = False):
     return np.array([float(x) for x in row])
 
 
+@lru_cache(maxsize=None)
+def _t_row(i: int, r: int, p: int) -> np.ndarray:  # shared and read-only
+    return _freeze(t_distribution(i, r, p))
+
+
 def _compose(i: int, r: int, row, p_inv, N: int) -> list[tuple[int, object]]:
     # The one place the (i, t) -> rank law meets a t-row: the nonzero
     # (target rank, probability) pairs of one kernel row on the window
@@ -277,17 +283,22 @@ class TStepSampler:
         self.y = y
         self.seed = seed
         self._rows: dict[tuple[int, int], np.ndarray] = {}
+        self._steps: dict[tuple[int, int, int], tuple[tuple[int, ...], np.ndarray]] = {}
 
     def row(self, i: int, r: int) -> np.ndarray:
-        key = (i, r)
-        cached = self._rows.get(key)
-        if cached is None:
-            cached = self._build_row(i, r)
-            self._rows[key] = cached
-        return cached
+        if (i, r) not in self._rows:
+            self._rows[i, r] = self._build_row(i, r)
+        return self._rows[i, r]
+
+    def _step(self, i: int, r: int, N: int) -> tuple[tuple[int, ...], np.ndarray]:
+        # The composed kernel row of rank r on window N: (targets, masses).
+        if (i, r, N) not in self._steps:
+            targets, masses = zip(*_compose(i, r, self.row(i, r), 1.0 / self.p, N))
+            self._steps[i, r, N] = (targets, np.array(masses))
+        return self._steps[i, r, N]
 
     def _build_row(self, i: int, r: int) -> np.ndarray:
-        row = t_distribution(i, r, self.p)
+        row = _t_row(i, r, self.p)
         if self.y is None:
             return row
         support = [t for t in range(i + 1) if t <= r]
@@ -369,19 +380,28 @@ def simulate_walks(
     stepping every walk.  By induction the final histogram has exactly
     the law of per-walk stepping, and the cost depends on the occupied
     ranks, not on W.
+
+    Each composed row is built once per sampler and window, so the levels
+    of a fan share it; the generator sees one multinomial per occupied
+    rank, in rank order.  Batching a fan's levels into one draw per step
+    would change every sampled artifact, so it waits for an exact fan bias.
     """
-    _check_window(initial.N)
+    N = initial.N
+    _check_window(N)
     if walks < 1:
         raise ValidationError(f"walks must be >= 1, got {walks}")
-    pvals = initial.as_float()
     sampler = sampler or TStepSampler(p)
-    counts = rng.multinomial(walks, pvals / pvals.sum())
+    if sampler.p != p:
+        raise ValidationError(f"sampler is for p = {sampler.p}, walks are for p = {p}")
+    pvals = initial.as_float()
+    counts = rng.multinomial(walks, pvals / pvals.sum()).tolist()
     for i in widths:
-        nxt = np.zeros_like(counts)
-        for r in np.flatnonzero(counts).tolist():
-            pairs = _compose(i, r, sampler.row(i, r), 1.0 / p, initial.N)
-            targets, masses = zip(*pairs)
-            # Folded targets can repeat; add.at accumulates every copy.
-            np.add.at(nxt, list(targets), rng.multinomial(counts[r], masses))
+        nxt = [0] * N
+        for r, count in enumerate(counts):
+            if count:
+                targets, masses = sampler._step(i, r, N)
+                # Folded targets can repeat; each copy adds its own count.
+                for target, moved in zip(targets, rng.multinomial(count, masses).tolist()):
+                    nxt[target] += moved
         counts = nxt
-    return _density_unchecked(counts / walks)
+    return _density_unchecked(np.array(counts) / walks)

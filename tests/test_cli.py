@@ -391,6 +391,13 @@ def test_avg_rank_explicit_grid(capsys):
     assert [row[0] for row in payload["rows"]] == [0.0, 0.5]
 
 
+def test_avg_rank_negative_first_delta_with_equals(capsys):
+    # "--deltas -0.5,..." reads the list as an option; the "=" form does not
+    code, out, err = run(["avg-rank", "--format", "json", "--deltas=-0.5,0,0.5"], capsys)
+    assert code == 0
+    assert [row[0] for row in json.loads(out)["rows"]] == [-0.5, 0.0, 0.5]
+
+
 def test_out_file_and_determinism(tmp_path, capsys):
     spec = fans_spec(tmp_path, mode="sampled", walks=4000, Y=200.0, seed=9)
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import selmerlab as sl
 from selmerlab import cli
-from selmerlab.twists import TStepSampler, sample_transitions
+from selmerlab.twists import TStepSampler, _compose, sample_transitions
 
 
 def default_config(seed=0):
@@ -401,3 +401,63 @@ def test_one_walk_step_conserves_count_support_and_parity(p, r, i, y, seed, walk
     assert support.min() >= max(0, r - i) and support.max() <= r + i
     # width 1 flips the parity of every walk, width 2 preserves it
     assert all(s % 2 == (r + i) % 2 for s in support)
+
+
+def per_rank_walks(widths, initial, p, walks, rng, sampler):
+    # The engine before composed rows were cached: compose every occupied
+    # rank's row at every step and scatter its counts with np.add.at.
+    pvals = initial.as_float()
+    counts = rng.multinomial(walks, pvals / pvals.sum())
+    for i in widths:
+        nxt = np.zeros_like(counts)
+        for r in np.flatnonzero(counts).tolist():
+            pairs = _compose(i, r, sampler.row(i, r), 1.0 / p, initial.N)
+            targets, masses = zip(*pairs)
+            np.add.at(nxt, list(targets), rng.multinomial(counts[r], masses))
+        counts = nxt
+    return counts / walks
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    N=st.integers(2, 12),
+    y=st.sampled_from([None, 2.0, 10.0, 1000.0]),
+    walks=st.sampled_from([1, 7, 10**6]),
+    widths=st.lists(st.sampled_from([1, 2]), max_size=10),
+    weights=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulate_walks_draws_match_the_per_rank_loop(p, N, y, walks, widths, weights, seed):
+    # cached rows and list counts leave every draw and every count as it was
+    weights = weights[:N]
+    if not any(weights):
+        weights[0] = 1
+    init = sl.make_density(np.array(weights) / sum(weights), N)
+    out = sl.simulate_walks(
+        widths, init, p, walks, np.random.default_rng(seed), TStepSampler(p, y, seed)
+    )
+    expect = per_rank_walks(
+        widths, init, p, walks, np.random.default_rng(seed), TStepSampler(p, y, seed)
+    )
+    assert np.array_equal(out.values, expect)
+
+
+def test_one_sampler_serves_two_windows():
+    # composed rows are keyed by the window: a row folded for N = 5 must
+    # not be reused at N = 9
+    p, widths = 3, [2, 1, 2, 2, 1, 2]
+    sampler = TStepSampler(p, 10.0, 21)
+    for N in (5, 9, 5):
+        init = sl.make_density([0.0, 0.0, 0.5, 0.5], N)
+        out = sl.simulate_walks(widths, init, p, 10**6, np.random.default_rng(N), sampler)
+        expect = per_rank_walks(
+            widths, init, p, 10**6, np.random.default_rng(N), TStepSampler(p, 10.0, 21)
+        )
+        assert np.array_equal(out.values, expect)
+
+
+def test_simulate_walks_rejects_a_sampler_for_another_prime():
+    init = sl.make_density([1.0], 8)
+    with pytest.raises(sl.ValidationError, match="sampler is for p = 3"):
+        sl.simulate_walks([1], init, 2, 10, np.random.default_rng(0), TStepSampler(3))
