@@ -77,7 +77,7 @@ def _coerce_vector(raw) -> np.ndarray:
 
 
 def _validate_probability_vector(values: np.ndarray, tol: float, what: str) -> None:
-    if not all(v >= 0 for v in values.tolist()):
+    if not (values >= 0).all():  # NaN compares False; Fraction arrays compare too
         raise NegativeEntry(f"{what} has a negative or NaN entry")
     total = values.sum()
     if not abs(float(total) - 1.0) <= tol:

@@ -51,6 +51,7 @@ from .twists import (
     PrimeSite,
     PrimeStream,
     TStepSampler,
+    _walk_average,
     exact_step_kernel,
     simulate_walks,
 )
@@ -288,14 +289,20 @@ def _uniforms(totals: list[int], rng: np.random.Generator) -> list[int]:
     # of whole bytes: a value v read from w bytes is kept as v % total when
     # it lies under the largest multiple of total below 256**w, and is
     # redrawn otherwise.  One spare byte keeps acceptance above 255/256.
+    # Each distinct total's (w, multiple) is worked out once.
+    limits = {}
+    for total in set(totals):
+        w = (total.bit_length() + 7) // 8 + 1
+        limits[total] = (w, 256**w // total * total)
+    shapes = [limits[total] for total in totals]
     out, todo = [0] * len(totals), list(range(len(totals)))
     while todo:
-        spans = [(totals[j].bit_length() + 7) // 8 + 1 for j in todo]
-        buf, start, redo = rng.bytes(sum(spans)), 0, []
-        for j, w in zip(todo, spans):
+        buf, start, redo = rng.bytes(sum(shapes[j][0] for j in todo)), 0, []
+        for j in todo:
+            w, bound = shapes[j]
             v = int.from_bytes(buf[start : start + w], "little")
             start += w
-            if v < 256**w // totals[j] * totals[j]:
+            if v < bound:
                 out[j] = v % totals[j]
             else:
                 redo.append(j)
@@ -433,21 +440,34 @@ def level_rank_distribution(
     ``walks`` Monte Carlo walks, optionally through a cutoff-perturbed
     sampler, and returns the empirical density.
     """
-    return _twisted([site.width for site in level.sites], initial, mode, p, rng, walks, sampler)
-
-
-def _twisted(widths, initial, mode, p, rng, walks, sampler) -> Density:
-    # level_rank_distribution of a level given by its widths in norm order.
+    widths = [site.width for site in level.sites]
     if mode == "exact_kernel":
-        out = initial
-        for width in widths:
-            out = apply(_cached_kernel(width, p, initial.N), out)
-        return out
+        return _exact_levels([widths], initial, p)[tuple(widths)]
     if mode == "sampled_at_Y":
         if rng is None:
             raise ValidationError("sampled mode needs an rng")
         return simulate_walks(widths, initial, p, walks, rng, sampler)
     raise ValidationError(f"unknown mode {mode!r}")
+
+
+def _exact_levels(rows, initial: Density, p: int) -> dict[tuple[int, ...], Density]:
+    # The exact distribution of each distinct width row (norm order), each
+    # checked once.  Rows that share a prefix share its kernel products,
+    # which are the products ``apply`` makes, so every value is the same
+    # float; the empty row gives ``initial`` back.
+    products = {(): initial.values}
+    out = {(): initial}
+    for row in map(tuple, rows):
+        if row in out:
+            continue
+        values = initial.values
+        for n in range(1, len(row) + 1):
+            prefix = row[:n]
+            if prefix not in products:
+                products[prefix] = np.dot(values, _cached_kernel(row[n - 1], p, initial.N).matrix)
+            values = products[prefix]
+        out[row] = _density_unchecked(values)
+    return out
 
 
 def fan_distribution(
@@ -464,8 +484,9 @@ def fan_distribution(
 
     Equal weights are correct because every level of a fixed fan has
     the same number of sites, hence the same twist-fiber cardinality.
-    In sampled mode the walk budget is split evenly across levels and
-    each level gets its own spawned RNG substream.
+    In sampled mode each level runs ``walks // len(levels)`` walks, so
+    the remainder of the budget is not run, and each level draws from
+    its own spawned RNG substream.
     """
     rows = [[site.width for site in level.sites] for level in levels]
     return _fan_average(rows, initial, mode, p, rng, walks, sampler)
@@ -476,20 +497,14 @@ def _fan_average(rows, initial, mode, p, rng, walks, sampler) -> Density:
     if not rows:
         raise EmptyFan("fan average over an empty list of levels")
     if mode == "exact_kernel":
-        # An exact level distribution depends only on the level's widths in
-        # norm order, and a fan repeats few width sequences.
-        rows = [tuple(row) for row in rows]
-        memo = {row: _twisted(row, initial, mode, p, None, 0, None) for row in set(rows)}
-        return _density_unchecked(np.mean([memo[row].values for row in rows], axis=0))
-    if rng is None:
-        raise ValidationError("sampled mode needs an rng")
-    if walks < len(rows):
-        raise ValidationError(f"need a walk per level, got {walks} for {len(rows)} levels")
-    stack = [
-        _twisted(row, initial, mode, p, child, walks // len(rows), sampler).values
-        for row, child in zip(rows, rng.spawn(len(rows)))
-    ]
-    return _density_unchecked(np.mean(stack, axis=0))
+        # A fan repeats few width sequences, and fewer prefixes of them.
+        levels = _exact_levels(rows, initial, p)
+        return _density_unchecked(np.mean([levels[tuple(row)].values for row in rows], axis=0))
+    if mode == "sampled_at_Y":
+        if rng is None:
+            raise ValidationError("sampled mode needs an rng")
+        return _walk_average(rows, initial, p, walks, rng.spawn(len(rows)), sampler)
+    raise ValidationError(f"unknown mode {mode!r}")
 
 
 def fan_collapse(

@@ -36,6 +36,7 @@ inequality the averaging bounds assume.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -275,6 +276,8 @@ class TStepSampler:
     """
 
     def __init__(self, p: int, y: float | None = None, seed: int = 0):
+        if not _is_prime(p):
+            raise InvalidPrime(f"p = {p} is not prime")
         if y is not None and not y >= 2.0:
             raise ValidationError(f"cutoff y must be >= 2, got {y}")
         if seed < 0:
@@ -298,31 +301,34 @@ class TStepSampler:
         return self._steps[i, r, N]
 
     def _build_row(self, i: int, r: int) -> np.ndarray:
+        # Python floats on two or three entries.  Every sum adds left to
+        # right, the order numpy uses for so few entries, so a row is the
+        # same floats numpy array arithmetic gives.
         row = _t_row(i, r, self.p)
         if self.y is None:
             return row
-        support = [t for t in range(i + 1) if t <= r]
-        if len(support) < 2:
+        support = min(i, r) + 1  # t in 0..min(i, r)
+        if support < 2:
             return row
         rng = np.random.default_rng([self.seed, i, r])
-        direction = rng.normal(size=len(support))
-        direction -= direction.mean()
-        norm = np.abs(direction).sum()
+        direction = rng.normal(size=support).tolist()
+        mean = sum(direction) / support
+        direction = [d - mean for d in direction]
+        norm = sum(abs(d) for d in direction)
         if norm == 0.0:
             return row
-        direction /= norm
+        direction = [d / norm for d in direction]
         eps = rng.uniform(0.5, 1.0) / self.y
+        out = row.tolist()
         # Shrink so no entry goes negative; the perturbation stays a
         # valid bias of l1 size eps <= 1/y.
-        for t, d in zip(support, direction):
+        for t, d in enumerate(direction):
             if d < 0:
-                eps = min(eps, row[t] / (-d))
-        out = row.copy()
-        for t, d in zip(support, direction):
-            out[t] += eps * d
-        out = np.clip(out, 0.0, None)
-        out /= out.sum()
-        return out
+                eps = min(eps, out[t] / (-d))
+        for t, d in enumerate(direction):
+            out[t] = max(out[t] + eps * d, 0.0)
+        total = sum(out)
+        return np.array([x / total for x in out])
 
 
 def _update_ranks(
@@ -381,27 +387,57 @@ def simulate_walks(
     the law of per-walk stepping, and the cost depends on the occupied
     ranks, not on W.
 
-    Each composed row is built once per sampler and window, so the levels
-    of a fan share it; the generator sees one multinomial per occupied
-    rank, in rank order.  Batching a fan's levels into one draw per step
-    would change every sampled artifact, so it waits for an exact fan bias.
+    This is the one-level call of the engine a sampled fan runs all its
+    levels through; see :func:`_walk_average`.
     """
+    return _walk_average([widths], initial, p, walks, [rng], sampler)
+
+
+def _walk_average(rows, initial, p, walks, rngs, sampler) -> Density:
+    # The walk engine: walks // len(rows) walks through each width row,
+    # row j drawing from rngs[j], and the mean of the level histograms.
+    # The window, walks and sampler checks, the start law and the one
+    # Density built are once per call, not once per level.  Each composed
+    # row is built once per sampler and window, so the levels share it;
+    # the generator sees one multinomial per occupied rank, in rank
+    # order, except that a row with one target (rank 0 at width 1) moves
+    # its count unchanged, where numpy's one-category multinomial draws
+    # nothing.  Batching the levels into one draw per step would change
+    # every sampled artifact, so it waits for an exact fan bias.
     N = initial.N
     _check_window(N)
-    if walks < 1:
-        raise ValidationError(f"walks must be >= 1, got {walks}")
+    if isinstance(walks, bool) or not isinstance(walks, numbers.Integral):
+        raise ValidationError(f"walks must be an int, got {walks!r}")
+    if walks < len(rows):
+        raise ValidationError(f"need a walk per level, got {walks} for {len(rows)} levels")
     sampler = sampler or TStepSampler(p)
     if sampler.p != p:
         raise ValidationError(f"sampler is for p = {sampler.p}, walks are for p = {p}")
+    per_level = walks // len(rows)
     pvals = initial.as_float()
-    counts = rng.multinomial(walks, pvals / pvals.sum()).tolist()
-    for i in widths:
-        nxt = [0] * N
-        for r, count in enumerate(counts):
-            if count:
-                targets, masses = sampler._step(i, r, N)
-                # Folded targets can repeat; each copy adds its own count.
-                for target, moved in zip(targets, rng.multinomial(count, masses).tolist()):
-                    nxt[target] += moved
-        counts = nxt
-    return _density_unchecked(np.array(counts) / walks)
+    pvals = pvals / pvals.sum()
+    steps, step = sampler._steps, sampler._step
+    histograms = []
+    for widths, rng in zip(rows, rngs):
+        multinomial = rng.multinomial
+        counts = multinomial(per_level, pvals).tolist()
+        occupied = [r for r, count in enumerate(counts) if count]
+        lo, hi = occupied[0], occupied[-1]
+        for i in widths:
+            nxt = [0] * N
+            for r in range(lo, hi + 1):
+                count = counts[r]
+                if count:
+                    targets, masses = steps.get((i, r, N)) or step(i, r, N)
+                    if len(targets) == 1:
+                        nxt[targets[0]] += count
+                        continue
+                    # Folded targets can repeat; each copy adds its own count.
+                    for target, moved in zip(targets, multinomial(count, masses).tolist()):
+                        nxt[target] += moved
+            counts = nxt
+            # A width-i step moves a walk at most i ranks, and a fold lands
+            # no higher than the rank it left.
+            lo, hi = max(lo - i, 0), min(hi + i, N - 1)
+        histograms.append(counts)
+    return _density_unchecked(np.mean(np.array(histograms) / per_level, axis=0))

@@ -37,6 +37,17 @@ def test_make_density_rejects_bad_mass():
         sl.make_density("ab")
 
 
+def test_make_density_rejects_nan_and_empty():
+    with pytest.raises(sl.NegativeEntry):
+        sl.make_density([float("nan"), 1.0])
+    with pytest.raises(sl.NotNormalized):
+        sl.make_density([])
+    with pytest.raises(sl.NegativeEntry):
+        sl.make_operator([[Fraction(3, 2), Fraction(-1, 2)], [0, 1]])
+    exact = sl.make_density([Fraction(1, 3), Fraction(2, 3)], 4)
+    assert exact.exact and exact.values[3] == 0
+
+
 def test_make_density_zero_pads():
     f = sl.make_density([0.25, 0.75], 8)
     assert f.N == 8

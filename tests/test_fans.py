@@ -14,12 +14,14 @@ import selmerlab as sl
 from selmerlab.fans import (
     FanSpec,
     Level,
+    _fan_average,
     _fan_table,
     _floyd,
     _uniforms,
     make_level,
     width_pattern,
 )
+from selmerlab.twists import TStepSampler, _compose
 
 
 SQUARE = sl.ConvergenceRate("power", coeff=1.0, exponent=2.0)
@@ -412,6 +414,123 @@ def test_fan_distribution_needs_a_walk_per_level():
             sl.fan_distribution(levels, init, "sampled_at_Y", 2, rng, walks=walks)
     out = sl.fan_distribution(levels, init, "sampled_at_Y", 2, rng, walks=3)
     assert out.values.sum() == pytest.approx(1.0)
+
+
+def test_fan_distribution_rejects_non_int_walk_counts():
+    init = make_initial()
+    levels = [w1_level(3.0)] * 3
+    for walks in (10.5, True):
+        with pytest.raises(sl.ValidationError, match="walks must be an int"):
+            sl.fan_distribution(levels, init, "sampled_at_Y", 2, np.random.default_rng(7),
+                                walks=walks)
+
+
+def spawned_walks(rows, initial, p, walks, rng, sampler):
+    # The sampled fan before one engine ran all its levels: a spawned
+    # generator per level, each level through the walk loop of that
+    # version (every occupied rank scanned, one multinomial per occupied
+    # rank, one-target rows included), and the mean of the densities.
+    N, per_level = initial.N, walks // len(rows)
+    stack = []
+    for widths, child in zip(rows, rng.spawn(len(rows))):
+        pvals = initial.as_float()
+        counts = child.multinomial(per_level, pvals / pvals.sum()).tolist()
+        for i in widths:
+            nxt = [0] * N
+            for r, count in enumerate(counts):
+                if count:
+                    targets, masses = zip(*_compose(i, r, sampler.row(i, r), 1.0 / p, N))
+                    drawn = child.multinomial(count, np.array(masses)).tolist()
+                    for target, moved in zip(targets, drawn):
+                        nxt[target] += moved
+            counts = nxt
+        stack.append(np.array(counts) / per_level)
+    return np.mean(stack, axis=0)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    N=st.integers(2, 9),
+    y=st.sampled_from([None, 2.0, 10.0, 1000.0]),
+    rows=st.lists(st.lists(st.sampled_from([1, 2]), max_size=8), min_size=1, max_size=6),
+    weights=st.lists(st.integers(0, 5), min_size=1, max_size=9),
+    walks=st.sampled_from([6, 61, 10**6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fan_engine_matches_per_level_spawned_walks(p, N, y, rows, weights, walks, seed):
+    # small windows fold rows; a start on rank 0 meets the one-target row
+    weights = weights[:N]
+    if not any(weights):
+        weights[0] = 1
+    init = sl.make_density(np.array(weights) / sum(weights), N)
+    walks = max(walks, len(rows))
+    got = _fan_average(rows, init, "sampled_at_Y", p, np.random.default_rng(seed), walks,
+                       TStepSampler(p, y, seed))
+    expect = spawned_walks(rows, init, p, walks, np.random.default_rng(seed),
+                           TStepSampler(p, y, seed))
+    assert got.values.tobytes() == expect.tobytes()
+
+
+def test_fan_engine_runs_one_target_rows_without_a_sampler():
+    # delta_0 through width-1-first rows on a two-rank window, exact rows
+    init = sl.make_density([1.0], 2)
+    rows = [[1, 2, 1], [1, 1], [2, 1, 2]]
+    got = _fan_average(rows, init, "sampled_at_Y", 3, np.random.default_rng(4), 999, None)
+    expect = spawned_walks(rows, init, 3, 999, np.random.default_rng(4), TStepSampler(3))
+    assert got.values.tobytes() == expect.tobytes()
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    N=st.integers(2, 12),
+    rows=st.lists(st.lists(st.sampled_from([1, 2]), max_size=7), min_size=1, max_size=12),
+    weights=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+)
+def test_exact_fan_shares_prefixes_bit_for_bit(p, N, rows, weights):
+    # composing each distinct prefix once gives the floats of per-row apply
+    weights = weights[:N]
+    if not any(weights):
+        weights[0] = 1
+    init = sl.make_density(np.array(weights) / sum(weights), N)
+    stack = []
+    for widths in rows:
+        out = init
+        for i in widths:
+            out = sl.apply(sl.exact_step_kernel(i, p, N), out)
+        stack.append(out.values)
+    got = _fan_average(rows, init, "exact_kernel", p, None, 0, None)
+    assert got.values.tobytes() == np.mean(stack, axis=0).tobytes()
+
+
+def old_uniforms(totals, rng):
+    # _uniforms as it was, working out each value's span and bound anew.
+    out, todo = [0] * len(totals), list(range(len(totals)))
+    while todo:
+        spans = [(totals[j].bit_length() + 7) // 8 + 1 for j in todo]
+        buf, start, redo = rng.bytes(sum(spans)), 0, []
+        for j, w in zip(todo, spans):
+            v = int.from_bytes(buf[start : start + w], "little")
+            start += w
+            if v < 256**w // totals[j] * totals[j]:
+                out[j] = v % totals[j]
+            else:
+                redo.append(j)
+        todo = redo
+    return out
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    totals=st.lists(st.sampled_from([1, 2, 3, 255, 256, 257, 65535, 10**6 + 3, 2**70 - 1]),
+                    max_size=60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_uniforms_match_the_per_value_version(totals, seed):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _uniforms(totals, rng) == old_uniforms(totals, reference)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_exact_fan_distribution_equals_per_level_stack():

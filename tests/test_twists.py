@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import selmerlab as sl
 from selmerlab import cli
-from selmerlab.twists import TStepSampler, _compose, sample_transitions
+from selmerlab.twists import TStepSampler, _compose, _t_row, sample_transitions
 
 
 def default_config(seed=0):
@@ -461,3 +461,79 @@ def test_simulate_walks_rejects_a_sampler_for_another_prime():
     init = sl.make_density([1.0], 8)
     with pytest.raises(sl.ValidationError, match="sampler is for p = 3"):
         sl.simulate_walks([1], init, 2, 10, np.random.default_rng(0), TStepSampler(3))
+
+
+def test_simulate_walks_rejects_non_int_walk_counts():
+    # 10.5 used to fail as an unnormalized density, and True ran one walk
+    init = sl.make_density([1.0], 8)
+    for walks in (10.5, 3.0, True, "5", None):
+        with pytest.raises(sl.ValidationError, match="walks must be an int"):
+            sl.simulate_walks([1], init, 2, walks, np.random.default_rng(0))
+    out = sl.simulate_walks([1], init, 2, np.int64(4), np.random.default_rng(0))
+    assert out.values[1] == 1.0
+
+
+def test_sampler_rejects_a_composite_modulus():
+    with pytest.raises(sl.InvalidPrime):
+        TStepSampler(4)
+    with pytest.raises(sl.InvalidPrime):
+        TStepSampler(1, y=10.0)
+    # with no widths to step through, the walks used to accept p = 4
+    init = sl.make_density([1.0], 8)
+    with pytest.raises(sl.InvalidPrime):
+        sl.simulate_walks([], init, 4, 10, np.random.default_rng(0))
+
+
+def test_one_target_rows_draw_nothing():
+    # rank 0 at width 1 moves every walk to rank 1: the engine adds the
+    # count without a multinomial call, and the generator is left exactly
+    # where numpy's one-category multinomial would leave it
+    init = sl.make_density([1.0], 8)
+    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+    out = sl.simulate_walks([1], init, 2, 1000, rng)
+    assert out.values[1] == 1.0
+    reference.multinomial(1000, init.as_float())
+    reference.multinomial(1000, [1.0])
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def numpy_build_row(sampler, i, r):
+    # TStepSampler._build_row as it was, in numpy small-array arithmetic.
+    row = _t_row(i, r, sampler.p)
+    if sampler.y is None:
+        return row
+    support = [t for t in range(i + 1) if t <= r]
+    if len(support) < 2:
+        return row
+    rng = np.random.default_rng([sampler.seed, i, r])
+    direction = rng.normal(size=len(support))
+    direction -= direction.mean()
+    norm = np.abs(direction).sum()
+    if norm == 0.0:
+        return row
+    direction /= norm
+    eps = rng.uniform(0.5, 1.0) / sampler.y
+    for t, d in zip(support, direction):
+        if d < 0:
+            eps = min(eps, row[t] / (-d))
+    out = row.copy()
+    for t, d in zip(support, direction):
+        out[t] += eps * d
+    out = np.clip(out, 0.0, None)
+    out /= out.sum()
+    return out
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    y=st.one_of(st.none(), st.sampled_from([2.0, 10.0, 100.0, 1000.0]), st.floats(2.0, 1e6)),
+    seed=st.integers(0, 2**63 - 1),
+    i=st.sampled_from([1, 2]),
+    r=st.integers(0, 12),
+)
+def test_build_row_matches_the_numpy_version(p, y, seed, i, r):
+    sampler = TStepSampler(p, y, seed)
+    got = sampler._build_row(i, r)
+    assert got.dtype == np.float64 and got.shape == (i + 1,)
+    assert got.tobytes() == numpy_build_row(sampler, i, r).tobytes()
