@@ -72,6 +72,7 @@ from .twists import (
 )
 from .fans import (
     ConvergenceRate,
+    Fan,
     FanSpec,
     Level,
     enumerate_levels,

@@ -14,21 +14,24 @@ synthetic model the one-step kernels are exact, so the collapse is an
 algebraic identity in exact mode and a measurable residual in
 sampled mode; :func:`fan_collapse` is the one pipeline that runs it.
 
-Fan sizes are exact integers: the bounds cut the norm-sorted sites
-into a few blocks, and counting how many width-1 and width-2 sites a
-level takes from each block gives |D(m, k, X)| and a uniform sampler.
-Norm products overflow any fixed-width float for modest m, so bounds
-and norms are compared in the log domain throughout.
+A :class:`Fan` owns one fan's count and draw: the bounds cut the
+norm-sorted sites into a few blocks, and counting how many width-1 and
+width-2 sites a level takes from each block gives the exact ``size``
+|D(m, k, X)| and a uniform ``draw``.  A caller that draws many times
+holds one Fan; nothing is cached behind :func:`sample_levels`.  Norm
+products overflow any fixed-width float for modest m, so bounds and
+norms are compared in the log domain throughout.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Literal, NamedTuple
+from typing import Literal
 
 import numpy as np
 
@@ -51,6 +54,7 @@ from .twists import (
     PrimeSite,
     PrimeStream,
     TStepSampler,
+    _check_walks,
     _walk_average,
     exact_step_kernel,
     simulate_walks,
@@ -58,6 +62,7 @@ from .twists import (
 
 __all__ = [
     "ConvergenceRate",
+    "Fan",
     "FanSpec",
     "Level",
     "make_level",
@@ -194,96 +199,6 @@ def width_pattern(m: int, k: int) -> tuple[int, int]:
     return n1, n2
 
 
-def _site_arrays(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ids, norms, widths) of a stream's sites, sorted by (norm, id).
-
-    A :class:`PrimeStream` is already in that order with ids 0..n-1;
-    any other sequence of sites is copied into arrays and sorted.
-    """
-    if isinstance(stream, PrimeStream):
-        return np.arange(len(stream)), stream.norms, stream.widths
-    ids = np.array([s.id for s in stream], dtype=np.int64)
-    norms = np.array([s.norm for s in stream], dtype=float)
-    widths = np.array([s.width for s in stream], dtype=np.int64)
-    order = np.lexsort((ids, norms))
-    return ids[order], norms[order], widths[order]
-
-
-class _FanTable(NamedTuple):
-    blocks: list  # per block: (ones, twos) index arrays into ``sites``
-    after: list  # per block: (need, completions once the block is done)
-    size: int  # |D(m, k, X)|
-    sites: tuple  # (ids, norms, widths), sorted by (norm, id)
-    spec: FanSpec
-
-
-def _fan_table(stream, spec) -> _FanTable:
-    """Exact count of the fan, split into blocks: (blocks, after, size, sites, spec).
-
-    With the positive-width sites sorted by (norm, id), slot j's bound
-    becomes a cut index cut_j: a sorted level lies in the fan exactly
-    when at least j + 1 of its sites sit below cut_j.  The distinct cuts
-    split the sites into blocks of width-1 and width-2 sites (ones,
-    twos).  Walking the blocks backwards, ``after[i]`` holds ``need``
-    (the sites a level must have once block i is done) and the array
-    C[a', b']: the levels that complete from a' ones and b' twos taken
-    by the end of block i.  The count one block earlier splits into two
-    passes over the masked M = C * [a' + b' >= need]:
-
-        G(a', b) = sum_y comb(twos, y) M(a', b + y)
-        C(a, b)  = sum_x comb(ones, x) G(a + x, b)
-
-    which costs O(S (n1 + n2)) per block for S = (n1+1)(n2+1) states.
-    """
-    n1, n2 = width_pattern(spec.m, spec.k)
-    ids, norms, widths = _site_arrays(stream)
-    keep = np.flatnonzero(widths)
-    positive = norms[keep]
-    cuts = [bisect_left(positive, b, key=math.log) for b in spec.log_bounds]
-    edges = sorted(set(cuts))
-    blocks = []
-    for lo, hi in zip([0] + edges, edges):
-        block = keep[lo:hi]
-        blocks.append((block[widths[block] == 1], block[widths[block] == 2]))
-    taken = np.add.outer(np.arange(n1 + 1), np.arange(n2 + 1))
-    counts = np.zeros((n1 + 1, n2 + 1), dtype=object)
-    counts[n1, n2] = 1
-    after = []
-    for (ones, twos), edge in zip(reversed(blocks), reversed(edges)):
-        need = bisect_right(cuts, edge)  # sites the level must have below edge
-        after.insert(0, (need, counts))
-        masked = np.where(taken >= need, counts, 0)
-        partial = np.zeros_like(counts)
-        for y in range(min(len(twos), n2) + 1):
-            partial[:, : n2 + 1 - y] += math.comb(len(twos), y) * masked[:, y:]
-        counts = np.zeros_like(counts)
-        for x in range(min(len(ones), n1) + 1):
-            counts[: n1 + 1 - x] += math.comb(len(ones), x) * partial[x:]
-    return _FanTable(blocks, after, counts[0, 0], (ids, norms, widths), spec)
-
-
-def _row(
-    table: _FanTable, i: int, a: int, b: int
-) -> tuple[list[int], list[tuple[int, int, int]]]:
-    # Block i's choices from state (a, b): the cumulative weights, and per
-    # choice (x, y, w) for taking x ones and y twos, where w counts the
-    # levels that complete from the state (a + x, b + y) after block i; x
-    # outer, y inner, zero weights dropped.  The last cumulative weight
-    # counts the levels that complete from (a, b) before block i.
-    ones, twos = table.blocks[i]
-    need, counts = table.after[i]
-    n1, n2 = counts.shape[0] - 1, counts.shape[1] - 1
-    cums, choices, total = [], [], 0
-    for x in range(min(len(ones), n1 - a) + 1):
-        for y in range(max(0, need - a - b - x), min(len(twos), n2 - b) + 1):
-            weight = counts[a + x, b + y]
-            if weight:
-                total += math.comb(len(ones), x) * math.comb(len(twos), y) * weight
-                cums.append(total)
-                choices.append((x, y, weight))
-    return cums, choices
-
-
 def _uniforms(totals: list[int], rng: np.random.Generator) -> list[int]:
     # One exact uniform below each of ``totals``, all read from one buffer
     # of whole bytes: a value v read from w bytes is kept as v % total when
@@ -322,57 +237,136 @@ def _floyd(n: int, x: int, u: int) -> list[int]:
     return list(held)
 
 
-def _draw(table: _FanTable, count: int, rng: np.random.Generator) -> np.ndarray:
-    # Two batches of exact uniforms draw all ``count`` levels.  The first
-    # gives each level u below the fan size, which walks the blocks: the
-    # row of the level's state (a, b) splits u's range into one segment
-    # per choice (x, y, w), of length comb(ones, x) comb(twos, y) w, and u's
-    # offset in its segment, taken mod w, is again uniform below the next
-    # row's total.  The second batch gives each level the sites of every
-    # block it takes from (Floyd), grouped by (block, width, number taken)
-    # so one index lookup serves a group.  Row j of the result holds the
-    # sorted site indices of the j-th independent draw.
-    spec = table.spec
-    if count < 0:
-        raise ValidationError(f"count must be >= 0, got {count}")
-    if not table.size:
-        n1, n2 = width_pattern(spec.m, spec.k)
-        widths = table.sites[2]
-        if np.count_nonzero(widths == 1) < n1 or np.count_nonzero(widths == 2) < n2:
-            raise InfeasibleFan(
-                f"(m, k) = ({spec.m}, {spec.k}) needs {n1} width-1 and {n2} width-2 sites"
+class Fan:
+    """The fan D(m, k, X) of a stream: its exact size and a uniform draw.
+
+    ``ids``, ``norms`` and ``widths`` hold the stream's sites sorted by
+    (norm, id): a :class:`PrimeStream` is already in that order with ids
+    0..n-1, and any other sequence of sites is copied and sorted.  With
+    the positive-width sites in that order, slot j's bound becomes a cut
+    index cut_j: a sorted level lies in the fan exactly when at least
+    j + 1 of its sites sit below cut_j.  The distinct cuts split the
+    sites into ``blocks`` of width-1 and width-2 site indices (ones,
+    twos).  Walking the blocks backwards, ``after[i]`` holds ``need``
+    (the sites a level must have once block i is done) and the array
+    C[a', b']: the levels that complete from a' ones and b' twos taken
+    by the end of block i.  The count one block earlier splits into two
+    passes over the masked M = C * [a' + b' >= need]:
+
+        G(a', b) = sum_y comb(twos, y) M(a', b + y)
+        C(a, b)  = sum_x comb(ones, x) G(a + x, b)
+
+    which costs O(S (n1 + n2)) per block for S = (n1+1)(n2+1) states;
+    ``size`` = C(0, 0) is |D(m, k, X)|.  Building a Fan reads no rng.
+    """
+
+    def __init__(self, stream, spec: FanSpec):
+        self.spec = spec
+        self._pattern = n1, n2 = width_pattern(spec.m, spec.k)
+        if isinstance(stream, PrimeStream):
+            self.ids, self.norms, self.widths = np.arange(len(stream)), stream.norms, stream.widths
+        else:
+            ids = np.array([s.id for s in stream], dtype=np.int64)
+            norms = np.array([s.norm for s in stream], dtype=float)
+            order = np.lexsort((ids, norms))
+            self.ids, self.norms = ids[order], norms[order]
+            self.widths = np.array([s.width for s in stream], dtype=np.int64)[order]
+        keep = np.flatnonzero(self.widths)
+        positive = self.norms[keep]
+        cuts = [bisect_left(positive, b, key=math.log) for b in spec.log_bounds]
+        edges = sorted(set(cuts))
+        self.blocks = []
+        for lo, hi in zip([0] + edges, edges):
+            block = keep[lo:hi]
+            self.blocks.append((block[self.widths[block] == 1], block[self.widths[block] == 2]))
+        taken = np.add.outer(np.arange(n1 + 1), np.arange(n2 + 1))
+        counts = np.zeros((n1 + 1, n2 + 1), dtype=object)
+        counts[n1, n2] = 1
+        self.after = []
+        for (ones, twos), edge in zip(reversed(self.blocks), reversed(edges)):
+            need = bisect_right(cuts, edge)  # sites the level must have below edge
+            self.after.insert(0, (need, counts))
+            masked = np.where(taken >= need, counts, 0)
+            partial = np.zeros_like(counts)
+            for y in range(min(len(twos), n2) + 1):
+                partial[:, : n2 + 1 - y] += math.comb(len(twos), y) * masked[:, y:]
+            counts = np.zeros_like(counts)
+            for x in range(min(len(ones), n1) + 1):
+                counts[: n1 + 1 - x] += math.comb(len(ones), x) * partial[x:]
+        self.size = counts[0, 0]
+
+    def _row(self, i: int, a: int, b: int) -> tuple[list[int], list[tuple[int, int, int]]]:
+        # Block i's choices from state (a, b): the cumulative weights, and per
+        # choice (x, y, w) for taking x ones and y twos, where w counts the
+        # levels that complete from the state (a + x, b + y) after block i; x
+        # outer, y inner, zero weights dropped.  The last cumulative weight
+        # counts the levels that complete from (a, b) before block i.
+        ones, twos = self.blocks[i]
+        need, counts = self.after[i]
+        n1, n2 = self._pattern
+        cums, choices, total = [], [], 0
+        for x in range(min(len(ones), n1 - a) + 1):
+            for y in range(max(0, need - a - b - x), min(len(twos), n2 - b) + 1):
+                weight = counts[a + x, b + y]
+                if weight:
+                    total += math.comb(len(ones), x) * math.comb(len(twos), y) * weight
+                    cums.append(total)
+                    choices.append((x, y, weight))
+        return cums, choices
+
+    def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` uniform levels: row j of the (count x m) result holds the
+        sorted site indices of the j-th independent draw.
+
+        Two batches of exact uniforms draw all the levels.  The first
+        gives each level u below ``size``, which walks the blocks: the
+        row of the level's state (a, b) splits u's range into one segment
+        per choice (x, y, w), of length comb(ones, x) comb(twos, y) w, and
+        u's offset in its segment, taken mod w, is again uniform below the
+        next row's total.  The second batch gives each level the sites of
+        every block it takes from (Floyd), grouped by (block, width,
+        number taken) so one index lookup serves a group.
+        """
+        spec = self.spec
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+            raise ValidationError(f"count must be an int >= 0, got {count!r}")
+        if not self.size:
+            n1, n2 = self._pattern
+            if np.count_nonzero(self.widths == 1) < n1 or np.count_nonzero(self.widths == 2) < n2:
+                raise InfeasibleFan(
+                    f"(m, k) = ({spec.m}, {spec.k}) needs {n1} width-1 and {n2} width-2 sites"
+                )
+            raise EmptyFan(
+                f"no level in this stream satisfies (m, k, X) = ({spec.m}, {spec.k}, {spec.X})"
             )
-        raise EmptyFan(
-            f"no level in this stream satisfies (m, k, X) = ({spec.m}, {spec.k}, {spec.X})"
-        )
-    rows: dict[tuple[int, int, int], tuple] = {}  # built for visited states only
-    takes: dict[tuple[int, int, int], list[int]] = {}  # (block, width, n) -> levels
-    for j, u in enumerate(_uniforms([table.size] * count, rng)):
-        a = b = 0
-        for i in range(len(table.blocks)):
-            row = rows.get((i, a, b))
-            if row is None:
-                row = rows[(i, a, b)] = _row(table, i, a, b)
-            cums, choices = row
-            k = bisect_right(cums, u)
-            x, y, weight = choices[k]
-            u = (u - (cums[k - 1] if k else 0)) % weight
-            if x:
-                takes.setdefault((i, 0, x), []).append(j)
-            if y:
-                takes.setdefault((i, 1, y), []).append(j)
-            a, b = a + x, b + y
-    groups = [(table.blocks[i][w], n, levels) for (i, w, n), levels in takes.items()]
-    us = iter(_uniforms(
-        [math.perm(len(pool), n) for pool, n, levels in groups for _ in levels], rng
-    ))
-    picks = [[] for _ in range(count)]
-    for pool, n, levels in groups:
-        chosen = pool[[_floyd(len(pool), n, next(us)) for _ in levels]].tolist()
-        for j, sites in zip(levels, chosen):
-            picks[j] += sites
-    # sites are sorted by (norm, id), so sorted indices give canonical levels
-    return np.sort(np.array(picks, dtype=np.intp).reshape(count, spec.m), axis=1)
+        rows: dict[tuple[int, int, int], tuple] = {}  # built for visited states only
+        takes: dict[tuple[int, int, int], list[int]] = {}  # (block, width, n) -> levels
+        for j, u in enumerate(_uniforms([self.size] * count, rng)):
+            a = b = 0
+            for i in range(len(self.blocks)):
+                row = rows.get((i, a, b))
+                if row is None:
+                    row = rows[(i, a, b)] = self._row(i, a, b)
+                cums, choices = row
+                k = bisect_right(cums, u)
+                x, y, weight = choices[k]
+                u = (u - (cums[k - 1] if k else 0)) % weight
+                if x:
+                    takes.setdefault((i, 0, x), []).append(j)
+                if y:
+                    takes.setdefault((i, 1, y), []).append(j)
+                a, b = a + x, b + y
+        groups = [(self.blocks[i][w], n, levels) for (i, w, n), levels in takes.items()]
+        us = iter(_uniforms(
+            [math.perm(len(pool), n) for pool, n, levels in groups for _ in levels], rng
+        ))
+        picks = [[] for _ in range(count)]
+        for pool, n, levels in groups:
+            chosen = pool[[_floyd(len(pool), n, next(us)) for _ in levels]].tolist()
+            for j, sites in zip(levels, chosen):
+                picks[j] += sites
+        # sites are sorted by (norm, id), so sorted indices give canonical levels
+        return np.sort(np.array(picks, dtype=np.intp).reshape(count, spec.m), axis=1)
 
 
 def sample_levels(stream, spec: FanSpec, count: int, rng: np.random.Generator) -> list[Level]:
@@ -384,9 +378,9 @@ def sample_levels(stream, spec: FanSpec, count: int, rng: np.random.Generator) -
     ``count`` draws are made together from two batches of exact
     uniforms; the j-th level returned is the j-th independent draw.
     """
-    table = _fan_table(stream, spec)
-    rows = _draw(table, count, rng)
-    ids, norms, widths = (column[rows].tolist() for column in table.sites)
+    fan = Fan(stream, spec)
+    rows = fan.draw(count, rng)
+    ids, norms, widths = (column[rows].tolist() for column in (fan.ids, fan.norms, fan.widths))
     return [Level(tuple(map(PrimeSite, *site))) for site in zip(ids, norms, widths)]
 
 
@@ -507,6 +501,10 @@ def _fan_average(rows, initial, mode, p, rng, walks, sampler) -> Density:
     raise ValidationError(f"unknown mode {mode!r}")
 
 
+def _seeded_sampler(p: int, y: float | None, rng: np.random.Generator) -> TStepSampler:
+    return TStepSampler(p, y, seed=int(rng.integers(2**62)))
+
+
 def fan_collapse(
     spec: FanSpec,
     stream,
@@ -529,11 +527,13 @@ def fan_collapse(
     """
     if levels < 1:
         raise ValidationError(f"levels must be >= 1, got {levels}")
-    table = _fan_table(stream, spec)
-    rows = table.sites[2][_draw(table, levels, rng)].tolist()
-    sampler = TStepSampler(p, y, seed=int(rng.integers(2**62))) if mode == "sampled_at_Y" else None
-    fan = _fan_average(rows, initial, mode, p, rng, walks, sampler)
-    return fan, apply(_cached_power(p, initial.N, spec.k), initial)
+    if mode == "sampled_at_Y":
+        _check_walks(walks, levels)
+    fan = Fan(stream, spec)
+    rows = fan.widths[fan.draw(levels, rng)].tolist()
+    sampler = _seeded_sampler(p, y, rng) if mode == "sampled_at_Y" else None
+    average = _fan_average(rows, initial, mode, p, rng, walks, sampler)
+    return average, apply(_cached_power(p, initial.N, spec.k), initial)
 
 
 def fan_collapse_residual(
@@ -610,22 +610,21 @@ def fan_union_distribution(
     """
     if levels_per_slice < 1:
         raise ValidationError(f"levels_per_slice must be >= 1, got {levels_per_slice}")
-    sampler = TStepSampler(p, y, seed=int(rng.integers(2**62))) if mode == "sampled_at_Y" else None
-    slices = []
-    for m in range((k + 1) // 2, min(k, m_max) + 1) if k > 0 else [0]:
-        spec = FanSpec.from_rate(rate, m, k, X)
-        table = _fan_table(stream, spec)
-        if table.size:
-            rows = _draw(table, levels_per_slice, rng)
-            slices.append((table.sites[2][rows].tolist(), table.size))
+    fans = (Fan(stream, FanSpec.from_rate(rate, m, k, X))
+            for m in (range((k + 1) // 2, min(k, m_max) + 1) if k > 0 else [0]))
+    slices = [fan for fan in fans if fan.size]
     if not slices:
         raise EmptyFan(f"no feasible fan slice for k = {k} with m <= {m_max}")
-    union_size = sum(size for _, size in slices)
+    if mode == "sampled_at_Y":  # each slice runs walks // len(slices) walks
+        _check_walks(walks, levels_per_slice * len(slices))
+    sampler = _seeded_sampler(p, y, rng) if mode == "sampled_at_Y" else None
+    rows = [fan.widths[fan.draw(levels_per_slice, rng)].tolist() for fan in slices]
+    union_size = sum(fan.size for fan in slices)
     total = np.zeros(initial.N)
-    for rows, size in slices:
-        dist = _fan_average(rows, initial, mode, p, rng, walks // len(slices), sampler)
+    for fan, fan_rows in zip(slices, rows):
+        dist = _fan_average(fan_rows, initial, mode, p, rng, walks // len(slices), sampler)
         # int / int is correctly rounded even where the sizes overflow a float
-        total = total + (size / union_size) * dist.as_float()
+        total = total + (fan.size / union_size) * dist.as_float()
     return _density_unchecked(total)
 
 
@@ -650,7 +649,7 @@ def step_average_gap(
     """
     base = level_rank_distribution(level, initial, "exact_kernel", p)
     target = apply(_cached_power(p, initial.N, i), base)
-    sampler = TStepSampler(p, y, seed=int(rng.integers(2**62)))
+    sampler = _seeded_sampler(p, y, rng)
     empirical = simulate_walks([i], base, p, walks, rng, sampler)
     b = int(np.nonzero(base.as_float())[0].max())
     bias_bound = (b + 1) / y

@@ -393,6 +393,14 @@ def simulate_walks(
     return _walk_average([widths], initial, p, walks, [rng], sampler)
 
 
+def _check_walks(walks, levels: int) -> None:
+    # A sampled run's walk budget: a non-bool int, with a walk per level.
+    if isinstance(walks, bool) or not isinstance(walks, numbers.Integral):
+        raise ValidationError(f"walks must be an int, got {walks!r}")
+    if walks < levels:
+        raise ValidationError(f"need a walk per level, got {walks} for {levels} levels")
+
+
 def _walk_average(rows, initial, p, walks, rngs, sampler) -> Density:
     # The walk engine: walks // len(rows) walks through each width row,
     # row j drawing from rngs[j], and the mean of the level histograms.
@@ -406,10 +414,7 @@ def _walk_average(rows, initial, p, walks, rngs, sampler) -> Density:
     # every sampled artifact, so it waits for an exact fan bias.
     N = initial.N
     _check_window(N)
-    if isinstance(walks, bool) or not isinstance(walks, numbers.Integral):
-        raise ValidationError(f"walks must be an int, got {walks!r}")
-    if walks < len(rows):
-        raise ValidationError(f"need a walk per level, got {walks} for {len(rows)} levels")
+    _check_walks(walks, len(rows))
     sampler = sampler or TStepSampler(p)
     if sampler.p != p:
         raise ValidationError(f"sampler is for p = {sampler.p}, walks are for p = {p}")

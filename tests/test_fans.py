@@ -12,10 +12,10 @@ from scipy.stats import chi2, chi2_contingency
 
 import selmerlab as sl
 from selmerlab.fans import (
+    Fan,
     FanSpec,
     Level,
     _fan_average,
-    _fan_table,
     _floyd,
     _uniforms,
     make_level,
@@ -237,7 +237,7 @@ def test_exact_fan_size_and_draws_property(cells, m, extra, X, exponent, seed):
     k = m + min(extra, m)
     spec = FanSpec.from_rate(sl.ConvergenceRate("power", 1.0, exponent), m, k, X)
     members = {lv.sites for lv in sl.enumerate_levels(stream, spec)}
-    assert _fan_table(stream, spec)[2] == len(members)
+    assert Fan(stream, spec).size == len(members)
     if members:
         n1, n2 = width_pattern(m, k)
         for lv in sl.sample_levels(stream, spec, 10, np.random.default_rng(seed)):
@@ -251,7 +251,7 @@ def test_sample_levels_is_uniform_chi_squared():
     stream = [site(j, 1.7 ** (j + 1), 1 + (j % 2)) for j in range(20)]
     spec = FanSpec.from_rate(SQUARE, 3, 4, 10.0)
     members = [lv.sites for lv in sl.enumerate_levels(stream, spec)]
-    assert _fan_table(stream, spec)[2] == len(members) == 352
+    assert Fan(stream, spec).size == len(members) == 352
     draws = 20_000
     counts = dict.fromkeys(members, 0)
     for lv in sl.sample_levels(stream, spec, draws, np.random.default_rng(15)):
@@ -290,7 +290,7 @@ def test_sample_levels_uniform_in_a_block_with_both_widths(ones, twos):
     stream += [site(ones + j, 50.0 + j, 2) for j in range(twos)]
     spec = FanSpec.from_rate(SQUARE, 3, 4, 10.0)
     members = [lv.sites for lv in sl.enumerate_levels(stream, spec)]
-    assert len(_fan_table(stream, spec).blocks) == 1
+    assert len(Fan(stream, spec).blocks) == 1
     assert len(members) == math.comb(ones, 2) * twos
     draws = 12_000
     counts = Counter(
@@ -326,7 +326,7 @@ def test_sample_levels_sparse_fan_in_a_large_pool():
     stream = [site(0, 5.0, 1), site(1, 500.0, 1)]
     stream += [site(2 + j, 2.0e4 + j, 1) for j in range(5000)]
     spec = FanSpec.from_rate(SQUARE, 3, 3, 10.0)
-    assert _fan_table(stream, spec)[2] == 5000
+    assert Fan(stream, spec).size == 5000
     levels = sl.sample_levels(stream, spec, 30, np.random.default_rng(16))
     assert all(sl.level_membership(lv, spec) for lv in levels)
     assert all(lv.sites[:2] == (stream[0], stream[1]) for lv in levels)
@@ -338,10 +338,33 @@ def test_stream_and_site_list_give_the_same_table_and_draws():
     sites = list(stream)
     for m, k in ((2, 3), (6, 9), (20, 40)):
         spec = FanSpec.from_rate(SQUARE, m, k, 10.0)
-        assert _fan_table(stream, spec)[2] == _fan_table(sites, spec)[2] > 0
+        assert Fan(stream, spec).size == Fan(sites, spec).size > 0
         a = sl.sample_levels(stream, spec, 20, np.random.default_rng(m))
         b = sl.sample_levels(sites, spec, 20, np.random.default_rng(m))
         assert a == b
+
+
+def test_held_fan_draws_what_sample_levels_draws():
+    # sites out of norm order, with ids that are not their indices
+    stream = [site(100 + j, 1.7 ** (20 - j), 1 + (j % 2)) for j in range(20)]
+    spec = FanSpec.from_rate(SQUARE, 3, 4, 10.0)
+    fan, rng = Fan(stream, spec), np.random.default_rng(20)
+    held = [fan.ids[fan.draw(count, rng)].tolist() for count in (7, 5)]
+    rng = np.random.default_rng(20)
+    fresh = [
+        [[s.id for s in lv.sites] for lv in sl.sample_levels(stream, spec, count, rng)]
+        for count in (7, 5)
+    ]
+    assert held == fresh
+
+
+def test_sample_levels_rejects_a_bad_count():
+    spec = FanSpec.from_rate(SQUARE, 2, 3, 10.0)
+    rng = np.random.default_rng(21)
+    for count in (2.5, True, -1, "3"):
+        with pytest.raises(sl.ValidationError, match="count must be an int >= 0"):
+            sl.sample_levels(default_stream(), spec, count, rng)
+    assert len(sl.sample_levels(default_stream(), spec, np.int64(3), rng)) == 3
 
 
 def make_initial(N=24):
@@ -567,6 +590,43 @@ def test_fan_collapse_needs_a_level():
         )
 
 
+@pytest.mark.parametrize("levels", [2.5, True])
+def test_fan_collapse_rejects_a_non_int_level_count(levels):
+    spec = FanSpec.from_rate(SQUARE, 2, 3, 10.0)
+    with pytest.raises(sl.ValidationError, match="count must be an int >= 0"):
+        sl.fan_collapse_residual(
+            spec, default_stream(), make_initial(32), "exact_kernel", 2,
+            np.random.default_rng(0), levels=levels,
+        )
+
+
+def test_rejected_walk_count_leaves_the_rng_untouched():
+    stream, init = default_stream(), make_initial(32)
+    spec = FanSpec.from_rate(SQUARE, 2, 3, 10.0)
+    # k = 4 has three nonempty slices, so 30 levels each need 90 walks
+    assert all(Fan(stream, FanSpec.from_rate(SQUARE, m, 4, 10.0)).size for m in (2, 3, 4))
+    rng = np.random.default_rng(22)
+    state = rng.bit_generator.state
+    for walks in (29, 100.5, True):
+        with pytest.raises(sl.ValidationError):
+            sl.fan_collapse_residual(
+                spec, stream, init, "sampled_at_Y", 2, rng, levels=30, walks=walks, y=100.0
+            )
+    for walks in (89, 100.5, True):
+        with pytest.raises(sl.ValidationError):
+            sl.fan_union_distribution(
+                stream, 4, 4, 10.0, SQUARE, init, "sampled_at_Y", 2, rng,
+                levels_per_slice=30, walks=walks, y=100.0,
+            )
+    assert rng.bit_generator.state == state
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    sl.fan_union_distribution(
+        stream, 4, 4, 10.0, SQUARE, init, "sampled_at_Y", 2, rng,
+        levels_per_slice=30, walks=90, y=100.0,
+    )
+    assert rng.bit_generator.seed_seq.n_children_spawned == 90
+
+
 def test_fan_collapse_residual_sampled_is_small():
     rng = np.random.default_rng(9)
     stream = default_stream()
@@ -652,6 +712,15 @@ def test_fan_union_needs_a_level_per_slice():
         sl.fan_union_distribution(
             default_stream(), 4, 4, 10.0, SQUARE, make_initial(32), "exact_kernel", 2,
             np.random.default_rng(13), levels_per_slice=0,
+        )
+
+
+@pytest.mark.parametrize("levels_per_slice", [2.5, True])
+def test_fan_union_rejects_a_non_int_level_count(levels_per_slice):
+    with pytest.raises(sl.ValidationError, match="count must be an int >= 0"):
+        sl.fan_union_distribution(
+            default_stream(), 4, 4, 10.0, SQUARE, make_initial(32), "exact_kernel", 2,
+            np.random.default_rng(13), levels_per_slice=levels_per_slice,
         )
 
 
