@@ -237,6 +237,60 @@ def _floyd(n: int, x: int, u: int) -> list[int]:
     return list(held)
 
 
+def _subsets(groups: list[tuple[int, int, int]], rng: np.random.Generator) -> np.ndarray:
+    # For each (n, x, count) group in turn, ``count`` rows each holding an
+    # x-subset of range(n), padded with -1 to the widest x: the subsets
+    # _floyd makes from one _uniforms call over perm(n, x) repeated count
+    # times (the entries of a row in another order).  When every perm(n, x)
+    # has at most 56 bits, every value reads at most 8 bytes, so each round
+    # of reads is decoded as one uint64 array and Floyd's digits are taken
+    # a column at a time over all rows.  One wider total, whose value no
+    # uint64 holds, sends every row through _uniforms and _floyd instead,
+    # and so do fewer than 64 rows, where the arrays' fixed cost of some
+    # 40 us is more than the per-value loop's.
+    counts = [c for _, _, c in groups]
+    totals = [math.perm(n, x) for n, x, _ in groups]
+    most = max((x for _, x, _ in groups), default=0)
+    if sum(counts) < 64 or max(totals).bit_length() > 56:
+        us = iter(_uniforms([t for t, c in zip(totals, counts) for _ in range(c)], rng))
+        rows = [_floyd(n, x, next(us)) + [-1] * (most - x) for n, x, c in groups for _ in range(c)]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), most)
+    per_group = np.array(groups, dtype=np.int64)
+    n, x = np.repeat(per_group[:, :2], counts, axis=0).T
+    widths = [(t.bit_length() + 7) // 8 + 1 for t in totals]
+    width = np.repeat(np.array(widths, dtype=np.int64), counts)
+    total = np.repeat(np.array(totals, dtype=np.uint64), counts)
+    # the largest value kept, 256**w // t * t - 1, which fits even at 2**64
+    last = np.repeat(np.array([256**w // t * t - 1 for t, w in zip(totals, widths)],
+                              dtype=np.uint64), counts)
+    u = np.zeros(len(x), dtype=np.uint64)
+    todo = np.arange(len(x))
+    while len(todo):
+        end = np.cumsum(width[todo])
+        buf = np.frombuffer(rng.bytes(int(end[-1])), dtype=np.uint8)
+        at = (end - width[todo])[:, None] + np.arange(8)
+        raw = np.where(at < end[:, None], buf[np.minimum(at, len(buf) - 1)], 0)
+        v = raw.astype(np.uint8).view("<u8")[:, 0]  # little-endian, zero-padded
+        keep = v <= last[todo]
+        u[todo[keep]] = v[keep] % total[todo[keep]]
+        todo = todo[~keep]
+    held = np.full((len(x), most), -1, dtype=np.int64)
+    for col in range(most):
+        active = x > col
+        step = np.where(active, n - x + col + 1, 1)
+        u, t = np.divmod(u, step.astype(np.uint64))
+        t = t.astype(np.int64)
+        taken = (held[:, :col] == t[:, None]).any(axis=1)
+        held[:, col] = np.where(active, np.where(taken, step - 1, t), -1)
+    return held
+
+
+def _check_count(count) -> None:
+    # The one rule for a level count: a non-bool int >= 0.
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+        raise ValidationError(f"count must be an int >= 0, got {count!r}")
+
+
 class Fan:
     """The fan D(m, k, X) of a stream: its exact size and a uniform draw.
 
@@ -271,14 +325,22 @@ class Fan:
             order = np.lexsort((ids, norms))
             self.ids, self.norms = ids[order], norms[order]
             self.widths = np.array([s.width for s in stream], dtype=np.int64)[order]
-        keep = np.flatnonzero(self.widths)
+        keep = np.flatnonzero(self.widths != 0)
         positive = self.norms[keep]
         cuts = [bisect_left(positive, b, key=math.log) for b in spec.log_bounds]
         edges = sorted(set(cuts))
-        self.blocks = []
-        for lo, hi in zip([0] + edges, edges):
-            block = keep[lo:hi]
-            self.blocks.append((block[self.widths[block] == 1], block[self.widths[block] == 2]))
+        # _sites holds the width-1 sites, then the width-2 sites, so a block's
+        # ones and twos are two ranges of it; past[i] is the first site index
+        # after block i.
+        ones, twos = np.flatnonzero(self.widths == 1), np.flatnonzero(self.widths == 2)
+        self._sites = np.concatenate((ones, twos))
+        past = [keep[e] if e < len(keep) else len(self.widths) for e in edges]
+        self._starts = list(zip(np.searchsorted(ones, [0] + past).tolist(),
+                                (len(ones) + np.searchsorted(twos, [0] + past)).tolist()))
+        self.blocks = [
+            (self._sites[a:c], self._sites[b:d])
+            for (a, b), (c, d) in zip(self._starts, self._starts[1:])
+        ]
         taken = np.add.outer(np.arange(n1 + 1), np.arange(n2 + 1))
         counts = np.zeros((n1 + 1, n2 + 1), dtype=object)
         counts[n1, n2] = 1
@@ -325,11 +387,15 @@ class Fan:
         u's offset in its segment, taken mod w, is again uniform below the
         next row's total.  The second batch gives each level the sites of
         every block it takes from (Floyd), grouped by (block, width,
-        number taken) so one index lookup serves a group.
+        number taken).  A batch of 64 subsets or more whose uniforms each
+        read at most 8 bytes is decoded as arrays (:func:`_subsets`); a
+        smaller one, or one with a wider group such as criterion 10's
+        (20, 40) fan has, keeps the per-value ``_uniforms`` + ``_floyd``
+        path.  Both take the same bytes and the same sites; each level's
+        sites are then sorted.
         """
         spec = self.spec
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
-            raise ValidationError(f"count must be an int >= 0, got {count!r}")
+        _check_count(count)
         if not self.size:
             n1, n2 = self._pattern
             if np.count_nonzero(self.widths == 1) < n1 or np.count_nonzero(self.widths == 2) < n2:
@@ -356,17 +422,16 @@ class Fan:
                 if y:
                     takes.setdefault((i, 1, y), []).append(j)
                 a, b = a + x, b + y
-        groups = [(self.blocks[i][w], n, levels) for (i, w, n), levels in takes.items()]
-        us = iter(_uniforms(
-            [math.perm(len(pool), n) for pool, n, levels in groups for _ in levels], rng
-        ))
-        picks = [[] for _ in range(count)]
-        for pool, n, levels in groups:
-            chosen = pool[[_floyd(len(pool), n, next(us)) for _ in levels]].tolist()
-            for j, sites in zip(levels, chosen):
-                picks[j] += sites
+        held = _subsets(
+            [(len(self.blocks[i][w]), n, len(levels)) for (i, w, n), levels in takes.items()], rng
+        )
+        start = np.repeat(np.array([self._starts[i][w] for i, w, _ in takes], dtype=np.intp),
+                          [len(levels) for levels in takes.values()])
+        level = np.array([j for levels in takes.values() for j in levels], dtype=np.intp)
+        rows, cols = np.nonzero(held >= 0)
+        sites = self._sites[start[rows] + held[rows, cols]]
         # sites are sorted by (norm, id), so sorted indices give canonical levels
-        return np.sort(np.array(picks, dtype=np.intp).reshape(count, spec.m), axis=1)
+        return sites[np.lexsort((sites, level[rows]))].reshape(count, spec.m)
 
 
 def sample_levels(stream, spec: FanSpec, count: int, rng: np.random.Generator) -> list[Level]:
@@ -525,6 +590,7 @@ def fan_collapse(
     (or sampled walks); the target side is the k-th matrix power of the
     Lagrangian operator, so the two sides are independent constructions.
     """
+    _check_count(levels)
     if levels < 1:
         raise ValidationError(f"levels must be >= 1, got {levels}")
     if mode == "sampled_at_Y":
@@ -608,6 +674,7 @@ def fan_union_distribution(
     distribution, so the weights are irrelevant there, which is part of
     the point being verified.
     """
+    _check_count(levels_per_slice)  # before the sampled mode's seed is read
     if levels_per_slice < 1:
         raise ValidationError(f"levels_per_slice must be >= 1, got {levels_per_slice}")
     fans = (Fan(stream, FanSpec.from_rate(rate, m, k, X))

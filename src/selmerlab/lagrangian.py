@@ -18,14 +18,17 @@ operator, evaluates the constants (exactly, then rounded once), and
 realizes the convergence claim both predictively and by iteration.
 
 Each float c_n is the correctly rounded value of the exact rational
-pref * q_n, with pref the prefactor product cut at ``tail_terms``
-factors.  ``c_constants`` gets it from plain integers: a fixed-point
-bracket lo <= pref * 2**K <= hi (K = 128 guard bits), whose product
-stops once p**j exceeds 2**(K + 20) because the remaining factors move
-it by less than one unit, and one correctly rounded int division per
-end.  Rounding to nearest is monotone, so when both ends round to the
-same double that double is the exact answer; otherwise the Fraction
-product ``_exact_prefactor(p, tail_terms) * q_n`` is rounded instead.
+pref * q_n, pref's product cut at ``tail_terms`` factors, and
+``c_constants`` finds it from plain integers.  Euler's identity
+
+    prod_{j>=1} (1 + p**-j) = sum_{n>=0} 1 / prod_{i=1}^{n} (p**i - 1)
+
+brackets pref with a few fixed-point terms (17 at p = 2), the factors
+past ``tail_terms`` that still matter are multiplied back in, the rest
+fit in the bracket's slack, and the loop over n stops at the first c_n
+that rounds to 0.0, since the later ones are smaller.  Where the
+bracket cannot settle a value, the Fraction product
+``_exact_prefactor(p, tail_terms) * q_n`` is rounded instead;
 ``_exact_prefactor`` and ``c_partial_products`` stay as that fallback
 and as the reference the tests compare against bit for bit.
 
@@ -169,33 +172,61 @@ def c_partial_products(p: int, N: int) -> list[Fraction]:
     return out
 
 
+def _prefactor_bracket(p: int, tail_terms: int, K: int) -> tuple[int, int]:
+    # lo <= _exact_prefactor(p, tail_terms) * 2**K <= hi with hi - lo <= 4.
+    # The series sum_n 1 / D_n, D_n = prod_{i<=n} (p**i - 1), is summed in
+    # W-bit fixed point: floor(floor(a / b) / c) = floor(a / (b c)), and the
+    # same for ceil, so each term is the last one divided by p**n - 1.  At
+    # the first term whose floor is 0, D_n > 2**W and the rest of the series
+    # is below 2 / D_n, two units.  n + 2 units of spread in the sum then
+    # move the bracket by under one unit of 2**-K.
+    W = K + 16
+    low = high = 0
+    term_lo = term_hi = 1 << W
+    power_of_p = 1
+    while term_lo:
+        low, high = low + term_lo, high + term_hi
+        power_of_p *= p
+        term_lo //= power_of_p - 1
+        term_hi = -(-term_hi // (power_of_p - 1))
+    high += 2
+    # pref = prod_{j>T} (1 + p**-j) / sum: multiply back the factors
+    # T < j <= J*; the ones beyond J* (p**j of more than K + 20 bits) add
+    # under 2**-(K + 19) relative, under one unit, hence hi's + 1.
+    num = den = 1
+    power_of_p = p**tail_terms
+    while power_of_p.bit_length() <= K + 20:
+        power_of_p *= p
+        num *= power_of_p + 1
+        den *= power_of_p
+    lo = (num << (K + W)) // (den * high)
+    hi = -(-(num << (K + W)) // (den * low)) + 1
+    return lo, hi
+
+
 def c_constants(params: LagrangianParams) -> np.ndarray:
     """The constants c_0, ..., c_{N-1}, each rounded once from an exact rational.
 
     Each value is ``float(_exact_prefactor(p, tail_terms) * q_n)`` bit
     for bit, with q_n = a_n / b_n from ``c_partial_products``, but is
-    found with plain integers.  The prefactor product stops once p**j
-    has more than K + 20 bits (K = ``_GUARD_BITS``): the skipped factors
-    shrink it by a relative 2**-(K + 19) at most, under one unit of
-    pref * 2**K < 2**K, so lo = max(0, floor - 1) and hi = floor + 1
-    bracket pref * 2**K.  Int true division is correctly rounded and
-    rounding to nearest is monotone, so when lo * a_n / (b_n << K) and
-    hi * a_n / (b_n << K) agree, that double is the rounding of the
-    exact c_n.  When they differ (never seen at K = 128), the Fraction
-    product is rounded instead.
+    found with plain integers.  The prefactor is bracketed as lo <=
+    pref * 2**K <= hi (K = ``_GUARD_BITS``, hi - lo <= 4) through
+    Euler's series for prod_{j>=1} (1 + p**-j), summed in fixed point
+    with floor and ceil ends.  When ``tail_terms`` T stops before J*,
+    the first j at which p**j has more than K + 20 bits, the factors
+    T < j <= J* are multiplied back in; the factors beyond J* shrink
+    pref by a relative 2**-(K + 19) at most, under one unit of pref *
+    2**K < 2**K, which hi absorbs.  Int true division is correctly
+    rounded and rounding to nearest is monotone, so when lo * a_n /
+    (b_n << K) and hi * a_n / (b_n << K) agree, that double is the
+    rounding of the exact c_n.  When they differ (never seen at K =
+    128), the Fraction product is rounded instead.  Once the upper end
+    rounds to 0.0 the loop stops: q_n / q_{n-1} = p / (p**n - 1) < 1
+    for n >= 2, so every later c_n rounds to 0.0 as well.
     """
     p, K = params.p, _GUARD_BITS
-    num = den = 1
-    power_of_p = 1
-    for _ in range(params.tail_terms):
-        power_of_p *= p
-        num *= power_of_p
-        den *= power_of_p + 1
-        if power_of_p.bit_length() > K + 20:
-            break
-    lo0 = (num << K) // den
-    lo, hi = max(0, lo0 - 1), lo0 + 1
-    out = np.empty(params.N)
+    lo, hi = _prefactor_bracket(p, params.tail_terms, K)
+    out = np.zeros(params.N)
     pref = None
     q_num = q_den = 1
     for n in range(params.N):
@@ -203,8 +234,10 @@ def c_constants(params: LagrangianParams) -> np.ndarray:
             q_num *= p
             q_den *= q_num - 1
         d = q_den << K
-        out[n] = lo * q_num / d
-        if out[n] != hi * q_num / d:
+        out[n] = hi * q_num / d
+        if not out[n]:
+            break
+        if out[n] != lo * q_num / d:
             if pref is None:
                 pref = _exact_prefactor(p, params.tail_terms)
             out[n] = float(pref * Fraction(q_num, q_den))

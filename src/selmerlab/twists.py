@@ -86,6 +86,11 @@ class PrimeSite:
             raise ValidationError(f"site width must be 0, 1 or 2, got {self.width}")
 
 
+def _is_seed(seed) -> bool:
+    # A seed numpy accepts: a non-bool int >= 0.
+    return not isinstance(seed, bool) and isinstance(seed, numbers.Integral) and seed >= 0
+
+
 @dataclass(frozen=True)
 class StreamConfig:
     """Width densities (d0, d1, d2), expected sites per unit norm, seed.
@@ -107,8 +112,8 @@ class StreamConfig:
             raise DegenerateConfig(f"width densities sum to {sum(d)}, not 1")
         if not d[2] > 0:
             raise DegenerateConfig("d_2 must be positive (width-2 primes always exist)")
-        if self.seed < 0:
-            raise DegenerateConfig(f"seed must be >= 0, got {self.seed}")
+        if not _is_seed(self.seed):
+            raise DegenerateConfig(f"seed must be an int >= 0, got {self.seed!r}")
 
 
 class PrimeStream(Sequence[PrimeSite]):
@@ -280,8 +285,8 @@ class TStepSampler:
             raise InvalidPrime(f"p = {p} is not prime")
         if y is not None and not y >= 2.0:
             raise ValidationError(f"cutoff y must be >= 2, got {y}")
-        if seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {seed}")
+        if not _is_seed(seed):
+            raise ValidationError(f"seed must be an int >= 0, got {seed!r}")
         self.p = p
         self.y = y
         self.seed = seed

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import selmerlab as sl
@@ -77,3 +78,18 @@ def test_negative_seed_rejected_at_construction():
         sl.StreamConfig(seed=-1)
     with pytest.raises(sl.ValidationError, match="seed"):
         sl.TStepSampler(2, 10.0, seed=-1)
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "3"])
+def test_stream_config_rejects_a_non_int_seed(seed):
+    # numpy would only reject it later, inside synth_prime_stream
+    with pytest.raises(sl.DegenerateConfig, match="seed must be an int >= 0"):
+        sl.StreamConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "3"])
+def test_sampler_rejects_a_non_int_seed(seed):
+    # numpy would only reject it later, at the sampler's first row
+    with pytest.raises(sl.ValidationError, match="seed must be an int >= 0"):
+        sl.TStepSampler(2, 100.0, seed=seed)
+    assert sl.TStepSampler(2, 100.0, seed=np.int64(3)).seed == 3

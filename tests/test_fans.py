@@ -17,6 +17,7 @@ from selmerlab.fans import (
     Level,
     _fan_average,
     _floyd,
+    _subsets,
     _uniforms,
     make_level,
     width_pattern,
@@ -556,6 +557,56 @@ def test_uniforms_match_the_per_value_version(totals, seed):
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
+def old_subsets(groups, rng):
+    # Fan.draw's second batch as it was: one per-value _uniforms call over
+    # every group's perm(n, x), then Floyd's algorithm on each value.
+    us = iter(old_uniforms([math.perm(n, x) for n, x, count in groups for _ in range(count)], rng))
+    rows = []
+    for n, x, count in groups:
+        for _ in range(count):
+            u, held = next(us), set()
+            for j in range(n - x, n):
+                u, t = divmod(u, j + 1)
+                held.add(j if t in held else t)
+            rows.append(sorted(held))
+    return rows
+
+
+def check_subsets(groups, seed):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    held = _subsets(groups, rng)
+    assert held.shape[0] == sum(count for _, _, count in groups)
+    assert [sorted(row[row >= 0].tolist()) for row in held] == old_subsets(groups, reference)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    # perm(n, x) runs from 1 to 83 bits, across the 56-bit (8-byte) switch,
+    # and the draws from 0 to 320, across the 64-row one
+    groups=st.lists(
+        st.tuples(st.integers(1, 100_000), st.integers(1, 5), st.integers(0, 40)).map(
+            lambda g: (g[0], min(g[1], g[0]), g[2])
+        ),
+        max_size=8,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_subsets_match_the_per_value_draw(groups, seed):
+    check_subsets(groups, seed)
+
+
+def test_subsets_match_the_per_value_draw_through_a_redraw():
+    # perm(241, 1) = 241 reads 2 bytes and rejects 225 of the 65536 values,
+    # so at this seed at least one value is redrawn in a second round
+    groups = [(241, 1, 300), (244, 2, 40), (6, 6, 5)]
+    one_round, drawn = np.random.default_rng(0), np.random.default_rng(0)
+    one_round.bytes(2 * 300 + 3 * 40 + 3 * 5)  # 2, 3 and 3 bytes a value
+    _subsets(groups, drawn)
+    assert drawn.bit_generator.state != one_round.bit_generator.state
+    check_subsets(groups, 0)
+
+
 def test_exact_fan_distribution_equals_per_level_stack():
     init = make_initial(32)
     stream = default_stream()
@@ -590,14 +641,22 @@ def test_fan_collapse_needs_a_level():
         )
 
 
-@pytest.mark.parametrize("levels", [2.5, True])
+@pytest.mark.parametrize("levels", [2.5, True, "3"])
 def test_fan_collapse_rejects_a_non_int_level_count(levels):
     spec = FanSpec.from_rate(SQUARE, 2, 3, 10.0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     with pytest.raises(sl.ValidationError, match="count must be an int >= 0"):
         sl.fan_collapse_residual(
             spec, default_stream(), make_initial(32), "exact_kernel", 2,
-            np.random.default_rng(0), levels=levels,
+            rng, levels=levels,
         )
+    with pytest.raises(sl.ValidationError, match="count must be an int >= 0"):
+        sl.fan_collapse(
+            spec, default_stream(), make_initial(32), "sampled_at_Y", 2,
+            rng, levels=levels, walks=1000, y=100.0,
+        )
+    assert rng.bit_generator.state == state
 
 
 def test_rejected_walk_count_leaves_the_rng_untouched():
@@ -715,13 +774,22 @@ def test_fan_union_needs_a_level_per_slice():
         )
 
 
-@pytest.mark.parametrize("levels_per_slice", [2.5, True])
+@pytest.mark.parametrize("levels_per_slice", [2.5, True, "3"])
 def test_fan_union_rejects_a_non_int_level_count(levels_per_slice):
+    rng = np.random.default_rng(13)
+    state = rng.bit_generator.state
     with pytest.raises(sl.ValidationError, match="count must be an int >= 0"):
         sl.fan_union_distribution(
             default_stream(), 4, 4, 10.0, SQUARE, make_initial(32), "exact_kernel", 2,
-            np.random.default_rng(13), levels_per_slice=levels_per_slice,
+            rng, levels_per_slice=levels_per_slice,
         )
+    # sampled mode seeds its sampler from rng, so the check must come first
+    with pytest.raises(sl.ValidationError, match="count must be an int >= 0"):
+        sl.fan_union_distribution(
+            default_stream(), 4, 4, 10.0, SQUARE, make_initial(32), "sampled_at_Y", 2,
+            rng, levels_per_slice=levels_per_slice, walks=1000, y=100.0,
+        )
+    assert rng.bit_generator.state == state
 
 
 def test_step_average_gap_within_bound():

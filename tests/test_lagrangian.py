@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import selmerlab as sl
 from selmerlab import lagrangian
-from selmerlab.lagrangian import _exact_prefactor
+from selmerlab.lagrangian import _exact_prefactor, _prefactor_bracket
 
 
 def fraction_constants(p, N, tail_terms):
@@ -105,6 +105,33 @@ def test_c_constants_fallback_is_exact(guard_bits, monkeypatch):
             got = sl.c_constants(sl.LagrangianParams(p, N))
             assert got.tobytes() == fraction_constants(p, N, 200).tobytes()
     assert calls == [2, 2, 3, 3, 7, 7, 101, 101]
+
+
+PRIMES_TO_1009 = [q for q in range(2, 1010) if all(q % d for d in range(2, q))]
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    p=st.sampled_from(PRIMES_TO_1009),
+    tail_terms=st.integers(50, 400),
+    guard_bits=st.sampled_from([1, 8, 128]),
+)
+def test_prefactor_bracket_holds_the_exact_prefactor(p, tail_terms, guard_bits):
+    # the series bracket, with the tail correction when T < J*, holds the
+    # Fraction product within four units of 2**-K
+    lo, hi = _prefactor_bracket(p, tail_terms, guard_bits)
+    scaled = _exact_prefactor(p, tail_terms) * 2**guard_bits
+    assert lo <= scaled <= hi
+    assert hi - lo <= 4
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_c_constants_past_the_underflow_stop(p):
+    # at N = 200 most c_n round to 0.0, and the loop stops at the first one
+    got = sl.c_constants(sl.LagrangianParams(p, 200))
+    assert got.tobytes() == fraction_constants(p, 200, 200).tobytes()
+    zeros = np.flatnonzero(got == 0.0)
+    assert 0 < zeros[0] < 100 and got[zeros[0]:].tobytes() == bytes(8 * (200 - zeros[0]))
 
 
 def test_c_partial_products_ratios():
