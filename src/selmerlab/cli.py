@@ -13,9 +13,13 @@ Global flags (after the subcommand): ``--seed``, ``--out``,
 ``--format {csv,json}``.  Every run is serial.
 
 Determinism contract: the numeric artifact (the ``--out`` file, or
-stdout when ``--out`` is absent) depends only on the spec and the seed;
-floats are formatted with 15 significant digits in JSON, 6 in CSV, and
-wall time goes only to the stderr run report.
+stdout when ``--out`` is absent) depends only on the spec and the seed,
+and wall time goes only to the stderr run report.  A JSON float is the
+JSON text of ``float(f"{v:.15g}")``, v rounded to 15 significant digits.
+Each decimal of at most 15 significant digits survives a round trip
+through binary64, so that text is v's own ``%.15g`` digits, which is how
+the JSON table writer prints a whole table in one formatting pass.  CSV
+keeps 6 significant digits (``%.6g``).
 
 All JSON input (the ``fans`` spec, disparity tables, ``--initial @file``)
 is read here, by one object reader and one number reader; the library
@@ -89,20 +93,104 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+# A payload's "table" is its artifact's rows held as columns: an optional
+# int index column first, then float64 columns.  Each writer renders the
+# whole table with one %-format call.
+
+def _cells(table) -> list:
+    # The table's cells, row-major, as Python ints and floats.
+    cells = [None] * (len(table) * len(table[0]))
+    for j, column in enumerate(table):
+        cells[j::len(table)] = column.tolist()
+    return cells
+
+
+# Classes of |v| for the JSON writer, by searchsorted(_BOUNDS, |v|, "right"):
+# 0 zero, 1 subnormal, 2 [tiny, 0.5), 3 [0.5, 1), 4 + e [1e(e), 1e(e+1))
+# for e = 0 ... 13, 18 at or above 1e14 and NaN.  _RADIUS is half a unit
+# in the 15th significant digit of a class's values, the distance from
+# an integer within which "%.15g" prints that integer; -1 where no
+# nonzero value prints a whole number.  _FORMULA marks the classes that
+# take the formula itself.
+_BOUNDS = np.array([5e-324, np.finfo(np.float64).tiny, 0.5] + [float(10**e) for e in range(15)])
+_RADIUS = np.array([0.0, -1.0, -1.0] + [float(f"5e{e - 15}") for e in range(-1, 14)] + [-1.0])
+_FORMULA = np.isin(np.arange(len(_RADIUS)), (1, 18))
+_BITS = 1 << np.arange(62)
+
+
+def _json_rows(table) -> str:
+    """``json.dumps(_round15(rows))`` of the table's rows.
+
+    Every decimal of at most 15 significant digits survives a round trip
+    through binary64, so for a normal double v with |v| < 1e14 the JSON
+    text of ``float(f"{v:.15g}")`` is ``"%.15g" % v`` itself, plus ".0"
+    when that text is a whole number (repr and %g switch to exponent
+    form at the same point below 1e-4).  That text is whole exactly when
+    v is 0 or lies within _RADIUS of a nonzero integer.  The distance to
+    the nearest integer is exact and, for |v| < 1e14, never equals the
+    radius: it is a multiple of v's ulp, and the radius, 5 * 10**(e - 15),
+    is not.  Zero is whole too ("0.0", "-0.0").  Subnormal, non-finite
+    and larger cells take the formula itself, written through "%s".
+    """
+    cells = _cells(table)
+    ints = table[0].dtype.kind == "i"
+    values = np.array(table[ints:]).T
+    size = np.minimum(np.abs(values), 1e14)  # no inf - inf below
+    kind = np.searchsorted(_BOUNDS, size, "right")
+    whole = np.abs(size - np.rint(size)) <= _RADIUS[kind]
+    lead = "[%d, " if ints else "["
+    width = values.shape[1]
+
+    def row(tokens):
+        return lead + ", ".join(tokens) + "], "
+
+    # A row's format is keyed by its whole cells, read as bits.
+    codes = (whole @ _BITS[:width]).tolist()
+    formats = {
+        code: row("%.15g.0" if code >> j & 1 else "%.15g" for j in range(width))
+        for code in set(codes)
+    }
+    rows = [formats[code] for code in codes]
+    formula = _FORMULA[kind]
+    if formula.any():
+        for i in np.flatnonzero(formula.any(axis=1)):
+            tokens = []
+            for j in range(width):
+                if formula[i, j]:
+                    text = json.dumps(float(f"{float(values[i, j]):.15g}"))
+                    cells[i * len(table) + ints + j] = text
+                tokens.append("%s" if formula[i, j] else "%.15g.0" if whole[i, j] else "%.15g")
+            rows[i] = row(tokens)
+    return "[" + "".join(rows)[:-2] % tuple(cells) + "]"
+
+
+def _csv_rows(table) -> str:
+    """The table's CSV lines: ints as ``%d``, floats as ``%.6g``."""
+    row = ",".join("%d" if column.dtype.kind == "i" else "%.6g" for column in table)
+    return "\n".join([row] * len(table[0])) % tuple(_cells(table))
+
+
 def _render_csv(payload: dict) -> str:
     lines = []
     for key, value in sorted(payload.get("params", {}).items()):
         lines.append(f"# {key} = {_csv_cell(value)}")
     lines.append(",".join(payload["columns"]))
-    for row in payload["rows"]:
-        lines.append(",".join(_csv_cell(v) for v in row))
+    if len(payload["table"][0]):
+        lines.append(_csv_rows(payload["table"]))
     for key, value in sorted(payload.get("footer", {}).items()):
         lines.append(f"# {key} = {_csv_cell(value)}")
     return "\n".join(lines) + "\n"
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps(_round15(payload), sort_keys=True) + "\n"
+    # json.dumps(payload, sort_keys=True) written key by key, so that the
+    # table goes through _json_rows and only the small dicts through
+    # _round15.  The artifact's key for the table is "rows".
+    texts = {"rows": _json_rows(payload["table"])}
+    for key, value in payload.items():
+        if key != "table":
+            texts[key] = json.dumps(_round15(value), sort_keys=True)
+    return "{" + ", ".join(f'"{key}": {texts[key]}' for key in sorted(texts)) + "}\n"
 
 
 def _emit(payload: dict, args) -> None:
@@ -209,7 +297,7 @@ def cmd_constants(args):
     payload = {
         "params": {"p": args.p, "N": args.N},
         "columns": ["n", "c_n", "cum_even", "cum_odd"],
-        "rows": [[n, float(c[n]), float(even[n]), float(odd[n])] for n in range(args.N)],
+        "table": [np.arange(args.N), c, even, odd],
         "footer": {"sum_even": float(even[-1]), "sum_odd": float(odd[-1])},
     }
     return payload, payload["footer"], 0
@@ -222,10 +310,7 @@ def cmd_equilibrium(args):
     payload = {
         "params": {"p": args.p, "N": args.N},
         "columns": ["n", "c_n", "e_plus", "e_minus"],
-        "rows": [
-            [n, float(pair.c[n]), float(pair.e_plus.values[n]), float(pair.e_minus.values[n])]
-            for n in range(args.N)
-        ],
+        "table": [np.arange(args.N), pair.c, pair.e_plus.values, pair.e_minus.values],
         "footer": {
             "sum_e_plus": float(pair.e_plus.values.sum()),
             "sum_e_minus": float(pair.e_minus.values.sum()),
@@ -242,16 +327,16 @@ def cmd_iterate(args):
     f = _parse_initial(args.initial, args.N)
     target = predicted_limit(f, "even", params)
     operator = build_lagrangian(params)
-    rows = []
+    distances = []
     current = f
-    for step in range(args.steps + 1):
-        rows.append([step, l1_distance(current, target)])
+    for _ in range(args.steps + 1):
+        distances.append(l1_distance(current, target))
         current = apply(operator, apply(operator, current))
     payload = {
         "params": {"p": args.p, "N": args.N, "initial": args.initial, "steps": args.steps},
         "columns": ["step", "distance_to_limit"],
-        "rows": rows,
-        "footer": {"rho": rho_parity(f), "final_distance": rows[-1][1]},
+        "table": [np.arange(args.steps + 1), np.array(distances)],
+        "footer": {"rho": rho_parity(f), "final_distance": distances[-1]},
     }
     return payload, payload["footer"], 0
 
@@ -308,11 +393,7 @@ def cmd_fans(args):
         payload = {
             "params": {**params, "orientation": orientation},
             "columns": ["n", "fan", "finite", "limit"],
-            "rows": [
-                [n, float(report.fan.values[n]), float(report.finite.values[n]),
-                 float(report.limit.values[n])]
-                for n in range(N)
-            ],
+            "table": [np.arange(N), report.fan.values, report.finite.values, report.limit.values],
             "footer": {
                 "delta": report.delta,
                 "residual_finite": report.residual_finite,
@@ -329,9 +410,7 @@ def cmd_fans(args):
         payload = {
             "params": params,
             "columns": ["n", "fan", "target"],
-            "rows": [
-                [n, float(fan.values[n]), float(target.values[n])] for n in range(N)
-            ],
+            "table": [np.arange(N), fan.values, target.values],
             "footer": {"residual": residual},
         }
 
@@ -351,7 +430,7 @@ def cmd_disparity(args):
     payload = {
         "params": {"p": args.p, "N": args.N, "orientation": args.orientation},
         "columns": ["n", "limit_mass"],
-        "rows": [[n, float(limit.values[n])] for n in range(args.N)],
+        "table": [np.arange(args.N), limit.values],
         "footer": footer,
     }
     return payload, {"delta": delta, "average_rank": footer["average_rank"]}, 0
@@ -371,7 +450,7 @@ def cmd_avg_rank(args):
     payload = {
         "params": {"p": args.p, "N": args.N, "orientation": args.orientation},
         "columns": ["delta", "mean_rank"],
-        "rows": [[float(d), float(v)] for d, v in zip(grid, means)],
+        "table": [np.array(grid, dtype=np.float64), np.array(means)],
         "footer": {
             "intercept": float(intercept),
             "slope": float(slope),

@@ -183,14 +183,21 @@ def synth_prime_stream(config: StreamConfig, X: float) -> Sequence[PrimeSite]:
     # Fixed block size: the rng consumption per block never depends on
     # X, which is what makes the streams prefix-consistent.
     block = 4096
+    # The arithmetic of rng.choice(3, size=block, p=densities), which
+    # draws the same widths from the same generator state: a cumulative
+    # sum scaled by its last entry, then a right-side search of one
+    # random(block) draw in it.
+    cdf = np.cumsum(np.array(config.width_densities, dtype=np.float64))
+    cdf /= cdf[-1]
     while position < X:
         spacings = rng.exponential(1.0 / config.growth_rate, size=block)
-        drawn = rng.choice(3, size=block, p=list(config.width_densities))
+        u = rng.random(block)
+        drawn = (u >= cdf[0]).astype(np.int64) + (u >= cdf[1])
         # np.cumsum adds left to right, one term at a time.
         positions = np.cumsum(np.concatenate(([position], spacings)))[1:]
         cut = int(np.searchsorted(positions, X))  # first position >= X
         norms.append(positions[:cut])
-        widths.append(drawn[:cut].astype(np.int64, copy=False))
+        widths.append(drawn[:cut])
         if cut < block:
             break
         position = float(positions[-1])

@@ -1,13 +1,17 @@
 """End-to-end tests of the command line interface via main()."""
 
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selmerlab as sl
 from selmerlab import cli
@@ -486,3 +490,149 @@ def test_parser_reuse_leaks_nothing_between_calls(tmp_path, capsys):
             env=env, capture_output=True, timeout=120,
         )
         assert (code, out.encode()) == (alone.returncode, alone.stdout), argv
+
+
+# The per-cell writers the one-pass table writers replaced, kept as their
+# oracle: every float through float(f"{v:.15g}") and json.dumps in JSON,
+# through f"{v:.6g}" in CSV.
+
+def reference_round15(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.15g}")
+    if isinstance(obj, dict):
+        return {key: reference_round15(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_round15(value) for value in obj]
+    return obj
+
+
+def reference_csv_cell(value):
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
+def reference_render(payload, fmt):
+    # ``payload`` holds "rows", lists of Python ints and floats.
+    if fmt == "json":
+        return json.dumps(reference_round15(payload), sort_keys=True) + "\n"
+    lines = [f"# {k} = {reference_csv_cell(v)}" for k, v in sorted(payload["params"].items())]
+    lines.append(",".join(payload["columns"]))
+    lines += [",".join(reference_csv_cell(v) for v in row) for row in payload["rows"]]
+    lines += [f"# {k} = {reference_csv_cell(v)}" for k, v in sorted(payload["footer"].items())]
+    return "\n".join(lines) + "\n"
+
+
+def rows_of(table):
+    return [list(row) for row in zip(*(column.tolist() for column in table))]
+
+
+def check_table_writers(table):
+    rows = rows_of(table)
+    assert cli._json_rows(table) == json.dumps(reference_round15(rows))
+    assert cli._csv_rows(table) == "\n".join(
+        ",".join(reference_csv_cell(v) for v in row) for row in rows
+    )
+
+
+def from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 1.0, -1.0, 2.0, 10.0, 0.5, 0.25, 0.1, 1 / 3, 2 / 3,
+    0.9999999999999999, 1.0000000000000002, 99999999999999.99, 1e14, 1e-4, 1e-5,
+    2.2250738585072014e-308, 5e-324, math.nan, math.inf, -math.inf, 1e300,
+    123456789012345.0, 99999999999999.0, 9999999999999.99, 1e15, 1e16, 1e17,
+    0.00010000000000000002, 9.999999999999999e-05, 0.30000000000000004,
+]
+
+
+def near_boundaries():
+    # Values a few ulps either side of every place where "%.15g" starts
+    # or stops printing a whole number: n + (half a 15th-digit unit) for
+    # integers n at each decade, and the powers of ten themselves.
+    values = []
+    for e in range(-1, 14):
+        radius = 5 * 10.0 ** (e - 15)
+        for n in {1, 3, 10**e, 2 * 10**e, 10 ** (e + 1) - 1}:
+            for center in (n - radius, n + radius, float(n), float(10 ** (e + 1))):
+                value = center
+                for _ in range(12):
+                    value = math.nextafter(value, -math.inf)
+                for _ in range(25):
+                    values.append(value)
+                    value = math.nextafter(value, math.inf)
+    return values
+
+
+@pytest.mark.parametrize("ints", [True, False])
+def test_table_writers_match_the_per_cell_formulas_at_edges(ints):
+    edges = EDGE_VALUES + [-v for v in EDGE_VALUES] + near_boundaries()
+    edges += [float(n) for n in (7, 42, 1000, 65536, 10**13, 2**46, 10**14 - 1)]
+    values = np.array(edges)
+    if len(values) % 2:
+        values = np.append(values, 3.5)
+    for floats in ([values[0::2], values[1::2]], [values]):
+        index = [np.arange(len(floats[0]))] if ints else []
+        check_table_writers(index + floats)
+
+
+def any_float():
+    return st.one_of(
+        st.integers(0, 2**64 - 1).map(from_bits),
+        st.sampled_from(EDGE_VALUES),
+        st.integers(-(10**15), 10**15).map(float),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    data=st.data(),
+    rows=st.integers(0, 8),
+    width=st.integers(1, 3),
+    ints=st.booleans(),
+)
+def test_table_writers_match_the_per_cell_formulas(data, rows, width, ints):
+    floats = [
+        np.array(data.draw(st.lists(any_float(), min_size=rows, max_size=rows)))
+        .astype(np.float64)
+        for _ in range(width)
+    ]
+    index = []
+    if ints:
+        cells = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=rows, max_size=rows)
+        index = [np.array(data.draw(cells), dtype=np.int64)]
+    check_table_writers(index + floats)
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "-p", "3"],
+    ["constants", "-p", "101", "-N", "200"],
+    ["equilibrium", "-p", "7"],
+    ["iterate", "--steps", "5", "--initial", "0.25,0.75"],
+    ["disparity", "TABLE"],
+    ["avg-rank", "-p", "3"],
+    ["avg-rank", "--deltas=-0.5,0,1e-5,0.5"],
+    ["fans", "SPEC"],
+    ["fans", "TABLE_SPEC"],
+    ["fans", "SAMPLED_SPEC"],
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_each_subcommand_writes_the_per_cell_bytes(argv, fmt, tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(table_json())
+    specs = {
+        "SPEC": {"m": 3, "k": 4},
+        "TABLE_SPEC": {"m": 3, "k": 4, "table": str(table), "N": 48},
+        "SAMPLED_SPEC": {"mode": "sampled", "walks": 2000, "Y": 100.0, "seed": 3},
+    }
+    argv = [
+        fans_spec(tmp_path, **specs[arg]) if arg in specs else str(table) if arg == "TABLE" else arg
+        for arg in argv
+    ] + ["--format", fmt]
+    args = cli._PARSER.parse_args(argv)
+    payload, _, code = args.func(args)
+    assert code == 0
+    old = {key: value for key, value in payload.items() if key != "table"}
+    old["rows"] = rows_of(payload["table"])
+    assert run(argv, capsys)[1] == reference_render(old, fmt)
