@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import Density, _parity_weighted, apply, l1_distance, make_density, rho_parity
-from .errors import NumericError, SelmerLabError, ValidationError
+from .errors import SelmerLabError, ValidationError
 from .lagrangian import (
     LagrangianParams,
     build_lagrangian,
@@ -72,7 +72,8 @@ _SPEC_OPTIONAL = (
 
 class _Parser(argparse.ArgumentParser):
     # Argument errors are validation errors (exit 1), not argparse's
-    # default exit 2, which this tool reserves for numeric failures.
+    # default exit 2, which this tool reserves for a fans residual above
+    # its threshold.
     def error(self, message):
         raise ValidationError(message)
 
@@ -300,7 +301,7 @@ def cmd_constants(args):
         "table": [np.arange(args.N), c, even, odd],
         "footer": {"sum_even": float(even[-1]), "sum_odd": float(odd[-1])},
     }
-    return payload, payload["footer"], 0
+    return payload, 0
 
 
 def cmd_equilibrium(args):
@@ -317,7 +318,7 @@ def cmd_equilibrium(args):
             "fixed_point_gap": gap,
         },
     }
-    return payload, payload["footer"], 0
+    return payload, 0
 
 
 def cmd_iterate(args):
@@ -338,7 +339,7 @@ def cmd_iterate(args):
         "table": [np.arange(args.steps + 1), np.array(distances)],
         "footer": {"rho": rho_parity(f), "final_distance": distances[-1]},
     }
-    return payload, payload["footer"], 0
+    return payload, 0
 
 
 def cmd_fans(args):
@@ -362,8 +363,6 @@ def cmd_fans(args):
     y = _number(spec.get("Y", 1000.0), float, "Y")
     walks = _number(spec.get("walks", 100_000), int, "walks")
     levels = _number(spec.get("levels", 30), int, "levels")
-    if levels < 1:
-        raise ValidationError(f"levels must be >= 1, got {levels}")
     seed = _number(spec.get("seed", args.seed), int, "seed")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
@@ -387,8 +386,7 @@ def cmd_fans(args):
         table = _read_table(_load_json(table) if isinstance(table, str) else table)
         report = end_to_end_fan_experiment(
             table, rate, m, k, X, mode, p, N, rng, orientation,
-            stream=config, stream_X=stream_X, levels=levels, walks=walks,
-            y=y if mode == "sampled_at_Y" else None,
+            stream=config, stream_X=stream_X, levels=levels, walks=walks, y=y,
         )
         payload = {
             "params": {**params, "orientation": orientation},
@@ -414,10 +412,7 @@ def cmd_fans(args):
             "footer": {"residual": residual},
         }
 
-    code = 0
-    if threshold is not None and residual > threshold:
-        code = 2
-    return payload, payload["footer"], code
+    return payload, 2 if threshold is not None and residual > threshold else 0
 
 
 def cmd_disparity(args):
@@ -433,7 +428,7 @@ def cmd_disparity(args):
         "table": [np.arange(args.N), limit.values],
         "footer": footer,
     }
-    return payload, {"delta": delta, "average_rank": footer["average_rank"]}, 0
+    return payload, 0
 
 
 def cmd_avg_rank(args):
@@ -457,7 +452,7 @@ def cmd_avg_rank(args):
             "value_at_half": _mean_rank(_limit_values(c, 0.5, args.orientation)),
         },
     }
-    return payload, payload["footer"], 0
+    return payload, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,11 +504,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = _PARSER.parse_args(argv)
-        payload, summary, code = args.func(args)
+        payload, code = args.func(args)
         _emit(payload, args)
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 1
@@ -530,7 +522,7 @@ def main(argv=None) -> int:
         "format": args.format,
         "out": args.out,
         "wall_time_s": time.perf_counter() - started,
-        "summary": _round15(summary),
+        "summary": _round15(payload["footer"]),
         "exit_code": code,
     }
     print(json.dumps(report, sort_keys=True), file=sys.stderr)

@@ -33,10 +33,7 @@ import numpy as np
 
 from .distributions import (
     TOL_NORM,
-    TOL_TAIL,
     Density,
-    _density_unchecked,
-    _parity_weighted,
     apply,
     l1_distance,
     make_density,
@@ -49,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .fans import ConvergenceRate, FanSpec, Mode, fan_collapse
-from .lagrangian import LagrangianParams, build_lagrangian, c_constants
+from .lagrangian import LagrangianParams, _mixture, build_lagrangian, c_constants
 from .twists import StreamConfig, synth_prime_stream
 
 __all__ = [
@@ -201,8 +198,7 @@ def _limit_values(c: np.ndarray, delta: float, orientation: Orientation) -> Dens
         raise DisparityOutOfRange(f"|delta| must be <= 1/2, got {delta}")
     if orientation not in ("odd_heavy", "even_heavy"):
         raise ValidationError(f"unknown orientation {orientation!r}")
-    odd_mass = 0.5 + delta if orientation == "odd_heavy" else 0.5 - delta
-    return _density_unchecked(_parity_weighted(c, odd_mass), TOL_TAIL)
+    return _mixture(c, 0.5 + delta if orientation == "odd_heavy" else 0.5 - delta)
 
 
 def average_rank(

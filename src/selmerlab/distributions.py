@@ -88,9 +88,9 @@ def _validate_probability_vector(values: np.ndarray, tol: float, what: str) -> N
 class Density:
     """Probability distribution on the rank window {0, ..., N-1}.
 
-    Entries are non-negative and sum to 1 within the tolerance the
-    constructor was given (``TOL_NORM`` by default).  Construct through
-    :func:`make_density`; the array is frozen read-only.
+    Entries are non-negative and sum to 1 within ``TOL_NORM``, or within
+    ``TOL_TAIL`` for the laws built from the truncated c_n.  Construct
+    through :func:`make_density`; the array is frozen read-only.
     """
 
     values: np.ndarray
@@ -107,11 +107,11 @@ class Density:
         return self.values.astype(float)
 
 
-def make_density(raw, N: int | None = None, *, tol: float = TOL_NORM) -> Density:
+def make_density(raw, N: int | None = None) -> Density:
     """Build a validated Density, zero-padding ``raw`` up to length ``N``.
 
     Raises ``NegativeEntry`` or ``NotNormalized`` when the entries are
-    not a probability vector within ``tol``, and ``TruncationMismatch``
+    not a probability vector within ``TOL_NORM``, and ``TruncationMismatch``
     when ``raw`` is longer than ``N``.
     """
     values = _coerce_vector(raw)
@@ -124,7 +124,7 @@ def make_density(raw, N: int | None = None, *, tol: float = TOL_NORM) -> Density
         if _is_exact(values):
             pad = np.array([Fraction(0)] * (N - len(values)), dtype=object)
         values = np.concatenate([values, pad])
-    _validate_probability_vector(values, tol, "density")
+    _validate_probability_vector(values, TOL_NORM, "density")
     return Density(_freeze(values))
 
 
@@ -159,9 +159,6 @@ class BandedOperator:
     @property
     def exact(self) -> bool:
         return _is_exact(self.matrix)
-
-    def as_float(self) -> np.ndarray:
-        return self.matrix.astype(float)
 
 
 def make_operator(matrix) -> BandedOperator:

@@ -54,6 +54,7 @@ from .twists import (
     PrimeSite,
     PrimeStream,
     TStepSampler,
+    _check_cutoff,
     _check_walks,
     _walk_average,
     exact_step_kernel,
@@ -490,23 +491,16 @@ def level_rank_distribution(
     rng: np.random.Generator | None = None,
     *,
     walks: int = 10_000,
-    sampler: TStepSampler | None = None,
 ) -> Density:
     """Rank distribution after twisting through every site of the level.
 
-    Exact mode composes the one-step kernels (order-independent, since
-    they are all powers of the same operator).  Sampled mode runs
-    ``walks`` Monte Carlo walks, optionally through a cutoff-perturbed
-    sampler, and returns the empirical density.
+    The one-level :func:`fan_distribution`.  Exact mode composes the
+    one-step kernels (order-independent, since they are all powers of
+    the same operator).  Sampled mode runs ``walks`` Monte Carlo walks
+    and returns the empirical density; like every level of a fan, they
+    draw from a child spawned from ``rng``, not from ``rng`` itself.
     """
-    widths = [site.width for site in level.sites]
-    if mode == "exact_kernel":
-        return _exact_levels([widths], initial, p)[tuple(widths)]
-    if mode == "sampled_at_Y":
-        if rng is None:
-            raise ValidationError("sampled mode needs an rng")
-        return simulate_walks(widths, initial, p, walks, rng, sampler)
-    raise ValidationError(f"unknown mode {mode!r}")
+    return fan_distribution([level], initial, mode, p, rng, walks=walks)
 
 
 def _exact_levels(rows, initial: Density, p: int) -> dict[tuple[int, ...], Density]:
@@ -537,7 +531,6 @@ def fan_distribution(
     rng: np.random.Generator | None = None,
     *,
     walks: int = 100_000,
-    sampler: TStepSampler | None = None,
 ) -> Density:
     """Equal-weight average of the level distributions.
 
@@ -548,22 +541,38 @@ def fan_distribution(
     its own spawned RNG substream.
     """
     rows = [[site.width for site in level.sites] for level in levels]
-    return _fan_average(rows, initial, mode, p, rng, walks, sampler)
+    return _fan_average(rows, initial, mode, p, rng, walks, None)
 
 
 def _fan_average(rows, initial, mode, p, rng, walks, sampler) -> Density:
-    # fan_distribution of levels given as width rows in norm order.
+    # fan_distribution of levels given as width rows in norm order: the one
+    # mode dispatch.  The mean of one exact row is that row, bit for bit.
     if not rows:
         raise EmptyFan("fan average over an empty list of levels")
+    _check_mode(mode)
     if mode == "exact_kernel":
         # A fan repeats few width sequences, and fewer prefixes of them.
         levels = _exact_levels(rows, initial, p)
         return _density_unchecked(np.mean([levels[tuple(row)].values for row in rows], axis=0))
+    if rng is None:
+        raise ValidationError("sampled mode needs an rng")
+    return _walk_average(rows, initial, p, walks, rng.spawn(len(rows)), sampler)
+
+
+def _check_mode(mode) -> None:
+    if mode not in ("exact_kernel", "sampled_at_Y"):
+        raise ValidationError(f"unknown mode {mode!r}")
+
+
+def _check_run(mode, p: int, N: int, walks, levels: int, y: float | None) -> None:
+    # Everything a fan run rejects, checked before its first rng read: the
+    # mode, a prime p and a window N >= 2 (the LagrangianParams rules), and
+    # in sampled mode a walk per level and the sampler's cutoff.
+    _check_mode(mode)
+    LagrangianParams(p, N)
     if mode == "sampled_at_Y":
-        if rng is None:
-            raise ValidationError("sampled mode needs an rng")
-        return _walk_average(rows, initial, p, walks, rng.spawn(len(rows)), sampler)
-    raise ValidationError(f"unknown mode {mode!r}")
+        _check_walks(walks, levels)
+        _check_cutoff(y)
 
 
 def _seeded_sampler(p: int, y: float | None, rng: np.random.Generator) -> TStepSampler:
@@ -589,12 +598,13 @@ def fan_collapse(
     distributions.  The fan side goes through the twist-process kernels
     (or sampled walks); the target side is the k-th matrix power of the
     Lagrangian operator, so the two sides are independent constructions.
+    Every input is checked before the first read of ``rng``, so a
+    rejected call leaves it as it was.
     """
     _check_count(levels)
     if levels < 1:
         raise ValidationError(f"levels must be >= 1, got {levels}")
-    if mode == "sampled_at_Y":
-        _check_walks(walks, levels)
+    _check_run(mode, p, initial.N, walks, levels, y)
     fan = Fan(stream, spec)
     rows = fan.widths[fan.draw(levels, rng)].tolist()
     sampler = _seeded_sampler(p, y, rng) if mode == "sampled_at_Y" else None
@@ -682,8 +692,8 @@ def fan_union_distribution(
     slices = [fan for fan in fans if fan.size]
     if not slices:
         raise EmptyFan(f"no feasible fan slice for k = {k} with m <= {m_max}")
-    if mode == "sampled_at_Y":  # each slice runs walks // len(slices) walks
-        _check_walks(walks, levels_per_slice * len(slices))
+    # each slice runs walks // len(slices) walks
+    _check_run(mode, p, initial.N, walks, levels_per_slice * len(slices), y)
     sampler = _seeded_sampler(p, y, rng) if mode == "sampled_at_Y" else None
     rows = [fan.widths[fan.draw(levels_per_slice, rng)].tolist() for fan in slices]
     union_size = sum(fan.size for fan in slices)
@@ -714,6 +724,7 @@ def step_average_gap(
     support, and mc_halfwidth is the summed per-cell binomial standard
     error of the Monte Carlo estimate.
     """
+    _check_run("sampled_at_Y", p, initial.N, walks, 1, y)
     base = level_rank_distribution(level, initial, "exact_kernel", p)
     target = apply(_cached_power(p, initial.N, i), base)
     sampler = _seeded_sampler(p, y, rng)

@@ -18,19 +18,18 @@ operator, evaluates the constants (exactly, then rounded once), and
 realizes the convergence claim both predictively and by iteration.
 
 Each float c_n is the correctly rounded value of the exact rational
-pref * q_n, pref's product cut at ``tail_terms`` factors, and
-``c_constants`` finds it from plain integers.  Euler's identity
+pref * q_n, pref's product cut at 200 factors, and ``c_constants``
+finds it from plain integers.  Euler's identity
 
     prod_{j>=1} (1 + p**-j) = sum_{n>=0} 1 / prod_{i=1}^{n} (p**i - 1)
 
 brackets pref with a few fixed-point terms (17 at p = 2), the factors
-past ``tail_terms`` that still matter are multiplied back in, the rest
-fit in the bracket's slack, and the loop over n stops at the first c_n
-that rounds to 0.0, since the later ones are smaller.  Where the
-bracket cannot settle a value, the Fraction product
-``_exact_prefactor(p, tail_terms) * q_n`` is rounded instead;
-``_exact_prefactor`` and ``c_partial_products`` stay as that fallback
-and as the reference the tests compare against bit for bit.
+past the cut fit in the bracket's slack, and the loop over n stops at
+the first c_n that rounds to 0.0, since the later ones are smaller.
+Where the bracket cannot settle a value, the Fraction product
+``_exact_prefactor(p) * q_n`` is rounded instead; ``_exact_prefactor``
+and ``c_partial_products`` stay as that fallback and as the reference
+the tests compare against bit for bit.
 
 Truncation: everything lives on ranks {0, ..., N-1}; the out-of-window
 mass of the last row is folded two steps down so rows stay stochastic.
@@ -55,7 +54,6 @@ from .distributions import (
     _parity_weighted,
     apply,
     l1_distance,
-    make_density,
     rho_parity,
 )
 from .errors import InvalidPrime, NoConvergence, ValidationError
@@ -72,7 +70,9 @@ __all__ = [
 ]
 
 
-# Fixed-point bits of the integer prefactor bracket in c_constants.
+# Factors of the c_n prefactor product, and the fixed-point bits of its
+# integer bracket in c_constants; the bracket needs K + 20 < 200.
+_TAIL_TERMS = 200
 _GUARD_BITS = 128
 
 
@@ -95,18 +95,15 @@ def _check_window(N: int) -> None:
 
 @dataclass(frozen=True)
 class LagrangianParams:
-    """Prime modulus, rank-window size, and tail length for the c_n product."""
+    """Prime modulus and rank-window size."""
 
     p: int
     N: int = 64
-    tail_terms: int = 200
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
             raise InvalidPrime(f"p = {self.p} is not prime")
         _check_window(self.N)
-        if self.tail_terms < 50:
-            raise ValidationError(f"tail_terms must be >= 50, got {self.tail_terms}")
 
 
 @dataclass(frozen=True)
@@ -147,12 +144,13 @@ def build_lagrangian(params: LagrangianParams, *, exact: bool = False) -> Banded
     return BandedOperator(_freeze(matrix))
 
 
-def _exact_prefactor(p: int, tail_terms: int) -> Fraction:
-    # prod_{j=1}^{J} (1 + p**-j)**-1 == prod p**j / (p**j + 1), kept as
-    # an exact rational; the dropped tail is below exp(p**-J) - 1.
+def _exact_prefactor(p: int) -> Fraction:
+    # prod_{j=1}^{J} (1 + p**-j)**-1 == prod p**j / (p**j + 1) at J =
+    # _TAIL_TERMS, kept as an exact rational; the dropped tail is below
+    # exp(p**-J) - 1.
     pref = Fraction(1)
     power_of_p = 1
-    for _ in range(tail_terms):
+    for _ in range(_TAIL_TERMS):
         power_of_p *= p
         pref *= Fraction(power_of_p, power_of_p + 1)
     return pref
@@ -172,8 +170,8 @@ def c_partial_products(p: int, N: int) -> list[Fraction]:
     return out
 
 
-def _prefactor_bracket(p: int, tail_terms: int, K: int) -> tuple[int, int]:
-    # lo <= _exact_prefactor(p, tail_terms) * 2**K <= hi with hi - lo <= 4.
+def _prefactor_bracket(p: int, K: int) -> tuple[int, int]:
+    # lo <= _exact_prefactor(p) * 2**K <= hi with hi - lo <= 4.
     # The series sum_n 1 / D_n, D_n = prod_{i<=n} (p**i - 1), is summed in
     # W-bit fixed point: floor(floor(a / b) / c) = floor(a / (b c)), and the
     # same for ceil, so each term is the last one divided by p**n - 1.  At
@@ -190,42 +188,34 @@ def _prefactor_bracket(p: int, tail_terms: int, K: int) -> tuple[int, int]:
         term_lo //= power_of_p - 1
         term_hi = -(-term_hi // (power_of_p - 1))
     high += 2
-    # pref = prod_{j>T} (1 + p**-j) / sum: multiply back the factors
-    # T < j <= J*; the ones beyond J* (p**j of more than K + 20 bits) add
-    # under 2**-(K + 19) relative, under one unit, hence hi's + 1.
-    num = den = 1
-    power_of_p = p**tail_terms
-    while power_of_p.bit_length() <= K + 20:
-        power_of_p *= p
-        num *= power_of_p + 1
-        den *= power_of_p
-    lo = (num << (K + W)) // (den * high)
-    hi = -(-(num << (K + W)) // (den * low)) + 1
+    # pref = prod_{j>T} (1 + p**-j) / sum at T = _TAIL_TERMS.  Each p**j
+    # there has more than T > K + 20 bits, so the product adds under
+    # 2**-(K + 19) relative, under one unit, hence hi's + 1.
+    lo = (1 << (K + W)) // high
+    hi = -(-(1 << (K + W)) // low) + 1
     return lo, hi
 
 
 def c_constants(params: LagrangianParams) -> np.ndarray:
     """The constants c_0, ..., c_{N-1}, each rounded once from an exact rational.
 
-    Each value is ``float(_exact_prefactor(p, tail_terms) * q_n)`` bit
-    for bit, with q_n = a_n / b_n from ``c_partial_products``, but is
-    found with plain integers.  The prefactor is bracketed as lo <=
-    pref * 2**K <= hi (K = ``_GUARD_BITS``, hi - lo <= 4) through
-    Euler's series for prod_{j>=1} (1 + p**-j), summed in fixed point
-    with floor and ceil ends.  When ``tail_terms`` T stops before J*,
-    the first j at which p**j has more than K + 20 bits, the factors
-    T < j <= J* are multiplied back in; the factors beyond J* shrink
-    pref by a relative 2**-(K + 19) at most, under one unit of pref *
-    2**K < 2**K, which hi absorbs.  Int true division is correctly
-    rounded and rounding to nearest is monotone, so when lo * a_n /
-    (b_n << K) and hi * a_n / (b_n << K) agree, that double is the
-    rounding of the exact c_n.  When they differ (never seen at K =
+    Each value is ``float(_exact_prefactor(p) * q_n)`` bit for bit,
+    with q_n = a_n / b_n from ``c_partial_products``, but is found with
+    plain integers.  The prefactor is bracketed as lo <= pref * 2**K <=
+    hi (K = ``_GUARD_BITS``, hi - lo <= 4) through Euler's series for
+    prod_{j>=1} (1 + p**-j), summed in fixed point with floor and ceil
+    ends.  The factors past the product's 200th, each p**j of more than
+    K + 20 bits, shrink pref by a relative 2**-(K + 19) at most, under
+    one unit of pref * 2**K < 2**K, which hi absorbs.  Int true division
+    is correctly rounded and rounding to nearest is monotone, so when lo
+    * a_n / (b_n << K) and hi * a_n / (b_n << K) agree, that double is
+    the rounding of the exact c_n.  When they differ (never seen at K =
     128), the Fraction product is rounded instead.  Once the upper end
     rounds to 0.0 the loop stops: q_n / q_{n-1} = p / (p**n - 1) < 1
     for n >= 2, so every later c_n rounds to 0.0 as well.
     """
     p, K = params.p, _GUARD_BITS
-    lo, hi = _prefactor_bracket(p, params.tail_terms, K)
+    lo, hi = _prefactor_bracket(p, K)
     out = np.zeros(params.N)
     pref = None
     q_num = q_den = 1
@@ -239,7 +229,7 @@ def c_constants(params: LagrangianParams) -> np.ndarray:
             break
         if out[n] != lo * q_num / d:
             if pref is None:
-                pref = _exact_prefactor(p, params.tail_terms)
+                pref = _exact_prefactor(p)
             out[n] = float(pref * Fraction(q_num, q_den))
     return out
 
@@ -252,9 +242,13 @@ def equilibrium(params: LagrangianParams) -> EquilibriumPair:
     enough that the tail is below ``TOL_TAIL`` (N >= 12 covers p >= 2).
     """
     c = c_constants(params)
-    e_plus = _density_unchecked(_parity_weighted(c, 0.0), TOL_TAIL)
-    e_minus = _density_unchecked(_parity_weighted(c, 1.0), TOL_TAIL)
-    return EquilibriumPair(e_plus, e_minus, c)
+    return EquilibriumPair(_mixture(c, 0.0), _mixture(c, 1.0), c)
+
+
+def _mixture(c: np.ndarray, odd_mass: float) -> Density:
+    # The one parity mixture of the c_n: (1 - odd_mass) E+ + odd_mass E-.
+    # E+, E-, predicted_limit and the disparity limits are all this law.
+    return _density_unchecked(_parity_weighted(c, odd_mass), TOL_TAIL)
 
 
 def iterate_limit(
@@ -284,4 +278,4 @@ def predicted_limit(f: Density, power_parity: Side, params: LagrangianParams) ->
     if power_parity not in ("even", "odd"):
         raise ValidationError(f"power_parity must be 'even' or 'odd', got {power_parity!r}")
     rho = rho_parity(f) if power_parity == "even" else 1.0 - rho_parity(f)
-    return make_density(_parity_weighted(c_constants(params), rho), params.N, tol=TOL_TAIL)
+    return _mixture(c_constants(params), rho)

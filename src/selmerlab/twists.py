@@ -275,6 +275,12 @@ def exact_step_kernel(i: int, p: int, N: int, *, exact: bool = False) -> BandedO
     return BandedOperator(_freeze(matrix))
 
 
+def _check_cutoff(y) -> None:
+    # A sampler's cutoff: None for the exact rows, else a number >= 2.
+    if y is not None and not y >= 2.0:
+        raise ValidationError(f"cutoff y must be >= 2, got {y}")
+
+
 class TStepSampler:
     """Draws t values, exactly or with a fixed per-row bias of size <= 1/y.
 
@@ -290,8 +296,7 @@ class TStepSampler:
     def __init__(self, p: int, y: float | None = None, seed: int = 0):
         if not _is_prime(p):
             raise InvalidPrime(f"p = {p} is not prime")
-        if y is not None and not y >= 2.0:
-            raise ValidationError(f"cutoff y must be >= 2, got {y}")
+        _check_cutoff(y)
         if not _is_seed(seed):
             raise ValidationError(f"seed must be an int >= 0, got {seed!r}")
         self.p = p

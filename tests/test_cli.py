@@ -631,7 +631,7 @@ def test_each_subcommand_writes_the_per_cell_bytes(argv, fmt, tmp_path, capsys):
         for arg in argv
     ] + ["--format", fmt]
     args = cli._PARSER.parse_args(argv)
-    payload, _, code = args.func(args)
+    payload, code = args.func(args)
     assert code == 0
     old = {key: value for key, value in payload.items() if key != "table"}
     old["rows"] = rows_of(payload["table"])

@@ -74,6 +74,15 @@ def test_strat_bounds_recursion():
         sl.strat_bounds(sl.ConvergenceRate("exponential", 1.0, 5.0), 3, 10.0)
 
 
+def test_strat_bounds_reject_an_infinite_rate():
+    # exp(log 1e10) = 1e10 is finite, but a = 1e300 times it is not
+    rate = sl.ConvergenceRate("exponential", 1.0, 1e300)
+    with pytest.raises(OverflowError, match="overflows the log domain"):
+        rate.log_value(math.log(1e10))
+    with pytest.raises(sl.ValidationError, match="stratification bounds overflow"):
+        sl.strat_bounds(rate, 1, 1e10)
+
+
 def test_strat_bounds_linear_rate():
     # with R(Y) = Y the X * L_n branch drives the first steps, then the
     # product branch takes over: R(10 * 100 * 1000) = 1e6 > 10 * 1000
@@ -182,6 +191,14 @@ def test_sample_levels_empty_fan_from_big_norms():
     spec = FanSpec.from_rate(SQUARE, 2, 2, 10.0)
     with pytest.raises(sl.EmptyFan):
         sl.sample_levels(stream, spec, 5, rng)
+
+
+def test_enumerate_levels_caps_the_candidates():
+    # 100 width-1 and 100 width-2 sites at (m, k) = (4, 6), which takes two
+    # of each: comb(100, 2)**2 candidates, over the 2 000 000 cap
+    stream = [site(j, 2.0 + j, 1 + j % 2) for j in range(200)]
+    with pytest.raises(sl.ValidationError, match="24502500 candidates"):
+        sl.enumerate_levels(stream, FanSpec.from_rate(SQUARE, 4, 6, 10.0))
 
 
 def test_enumerate_levels_small_stream():
@@ -409,10 +426,11 @@ def test_level_rank_distribution_sampled_close_to_exact():
 
 
 def test_level_rank_distribution_validation():
+    # the one-level fan_distribution, so these are _fan_average's raises
     init = make_initial()
-    with pytest.raises(sl.ValidationError):
+    with pytest.raises(sl.ValidationError, match="sampled mode needs an rng"):
         sl.level_rank_distribution(make_level(()), init, "sampled_at_Y", 2)
-    with pytest.raises(sl.ValidationError):
+    with pytest.raises(sl.ValidationError, match="unknown mode 'monte_carlo'"):
         sl.level_rank_distribution(make_level(()), init, "monte_carlo", 2)
 
 
@@ -684,6 +702,46 @@ def test_rejected_walk_count_leaves_the_rng_untouched():
         levels_per_slice=30, walks=90, y=100.0,
     )
     assert rng.bit_generator.seed_seq.n_children_spawned == 90
+
+
+SPEC_23 = FanSpec.from_rate(SQUARE, 2, 3, 10.0)
+SAMPLED = {"walks": 1000, "y": 100.0}
+
+
+@pytest.mark.parametrize("error, message, call", [
+    (sl.ValidationError, "unknown mode 'bogus'", lambda stream, init, rng: sl.fan_collapse(
+        SPEC_23, stream, init, "bogus", 2, rng, levels=3)),
+    (sl.InvalidPrime, "p = 4", lambda stream, init, rng: sl.fan_collapse(
+        SPEC_23, stream, init, "exact_kernel", 4, rng, levels=3)),
+    (sl.InvalidPrime, "p = 4", lambda stream, init, rng: sl.fan_collapse(
+        SPEC_23, stream, init, "sampled_at_Y", 4, rng, levels=3, **SAMPLED)),
+    (sl.ValidationError, "cutoff y", lambda stream, init, rng: sl.fan_collapse(
+        SPEC_23, stream, init, "sampled_at_Y", 2, rng, levels=3, walks=1000, y=1.0)),
+    (sl.ValidationError, "N must be >= 2", lambda stream, init, rng: sl.fan_collapse(
+        SPEC_23, stream, sl.make_density([1.0], 1), "exact_kernel", 2, rng, levels=3)),
+    (sl.ValidationError, "unknown mode 'bogus'", lambda stream, init, rng: (
+        sl.fan_union_distribution(stream, 4, 4, 10.0, SQUARE, init, "bogus", 2, rng))),
+    (sl.ValidationError, "cutoff y", lambda stream, init, rng: sl.fan_union_distribution(
+        stream, 4, 4, 10.0, SQUARE, init, "sampled_at_Y", 2, rng, walks=1000, y=1.0)),
+    (sl.ValidationError, "cutoff y", lambda stream, init, rng: sl.step_average_gap(
+        make_level([site(1, 3.0, 1)]), 1, init, 2, 1.0, rng)),
+    (sl.ValidationError, "walk per level", lambda stream, init, rng: sl.step_average_gap(
+        make_level([site(1, 3.0, 1)]), 1, init, 2, 100.0, rng, walks=0)),
+], ids=["mode", "p-exact", "p-sampled", "y", "N", "union-mode", "union-y", "step-y", "step-walks"])
+def test_rejected_fan_call_leaves_the_rng_untouched(error, message, call):
+    # mode, p, the window N, the walks and y are checked before the first
+    # read of rng: Fan.draw's bytes, the sampler's seed or a spawn
+    stream, init = default_stream(), make_initial(32)
+    rng = np.random.default_rng(23)
+    state = rng.bit_generator.state
+    with pytest.raises(error, match=message):
+        call(stream, init, rng)
+    assert rng.bit_generator.state == state
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    # the same calls, made valid, read it
+    sl.fan_collapse(SPEC_23, stream, init, "sampled_at_Y", 2, rng, levels=3, **SAMPLED)
+    assert rng.bit_generator.state != state
+    assert rng.bit_generator.seed_seq.n_children_spawned == 3
 
 
 def test_fan_collapse_residual_sampled_is_small():

@@ -12,9 +12,9 @@ from selmerlab import lagrangian
 from selmerlab.lagrangian import _exact_prefactor, _prefactor_bracket
 
 
-def fraction_constants(p, N, tail_terms):
+def fraction_constants(p, N):
     # the reference: each c_n rounded once from its exact rational
-    pref = _exact_prefactor(p, tail_terms)
+    pref = _exact_prefactor(p)
     return np.array([float(pref * q) for q in sl.c_partial_products(p, N)])
 
 
@@ -25,8 +25,6 @@ def test_params_validation():
         sl.LagrangianParams(1, 64)
     with pytest.raises(ValueError):
         sl.LagrangianParams(2, 1)
-    with pytest.raises(ValueError):
-        sl.LagrangianParams(2, 64, tail_terms=0)
 
 
 def test_params_reject_a_one_rank_window():
@@ -66,25 +64,20 @@ def test_c_constant_base_value():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 101])
-@pytest.mark.parametrize("tail_terms", [50, 200])
-def test_c_constants_bit_identical_to_fractions(p, tail_terms):
+def test_c_constants_bit_identical_to_fractions(p):
     for N in (2, 12, 32, 64, 128):
-        got = sl.c_constants(sl.LagrangianParams(p, N, tail_terms))
-        assert got.tobytes() == fraction_constants(p, N, tail_terms).tobytes()
+        got = sl.c_constants(sl.LagrangianParams(p, N))
+        assert got.tobytes() == fraction_constants(p, N).tobytes()
 
 
 PRIMES_TO_101 = [q for q in range(2, 102) if all(q % d for d in range(2, q))]
 
 
 @settings(max_examples=25, deadline=None, database=None)
-@given(
-    p=st.sampled_from(PRIMES_TO_101),
-    N=st.integers(2, 128),
-    tail_terms=st.integers(50, 250),
-)
-def test_c_constants_matches_fractions_property(p, N, tail_terms):
-    got = sl.c_constants(sl.LagrangianParams(p, N, tail_terms))
-    assert got.tobytes() == fraction_constants(p, N, tail_terms).tobytes()
+@given(p=st.sampled_from(PRIMES_TO_101), N=st.integers(2, 128))
+def test_c_constants_matches_fractions_property(p, N):
+    got = sl.c_constants(sl.LagrangianParams(p, N))
+    assert got.tobytes() == fraction_constants(p, N).tobytes()
 
 
 @pytest.mark.parametrize("guard_bits", [1, 8])
@@ -94,16 +87,16 @@ def test_c_constants_fallback_is_exact(guard_bits, monkeypatch):
     # result must not change; at 1 bit the lower end clamps to 0
     calls = []
 
-    def counting(p, tail_terms):
+    def counting(p):
         calls.append(p)
-        return _exact_prefactor(p, tail_terms)
+        return _exact_prefactor(p)
 
     monkeypatch.setattr(lagrangian, "_GUARD_BITS", guard_bits)
     monkeypatch.setattr(lagrangian, "_exact_prefactor", counting)
     for p in (2, 3, 7, 101):
         for N in (12, 64):
             got = sl.c_constants(sl.LagrangianParams(p, N))
-            assert got.tobytes() == fraction_constants(p, N, 200).tobytes()
+            assert got.tobytes() == fraction_constants(p, N).tobytes()
     assert calls == [2, 2, 3, 3, 7, 7, 101, 101]
 
 
@@ -111,16 +104,12 @@ PRIMES_TO_1009 = [q for q in range(2, 1010) if all(q % d for d in range(2, q))]
 
 
 @settings(max_examples=20, deadline=None, database=None)
-@given(
-    p=st.sampled_from(PRIMES_TO_1009),
-    tail_terms=st.integers(50, 400),
-    guard_bits=st.sampled_from([1, 8, 128]),
-)
-def test_prefactor_bracket_holds_the_exact_prefactor(p, tail_terms, guard_bits):
-    # the series bracket, with the tail correction when T < J*, holds the
-    # Fraction product within four units of 2**-K
-    lo, hi = _prefactor_bracket(p, tail_terms, guard_bits)
-    scaled = _exact_prefactor(p, tail_terms) * 2**guard_bits
+@given(p=st.sampled_from(PRIMES_TO_1009), guard_bits=st.sampled_from([1, 8, 128]))
+def test_prefactor_bracket_holds_the_exact_prefactor(p, guard_bits):
+    # the series bracket holds the Fraction product cut at 200 factors
+    # within four units of 2**-K
+    lo, hi = _prefactor_bracket(p, guard_bits)
+    scaled = _exact_prefactor(p) * 2**guard_bits
     assert lo <= scaled <= hi
     assert hi - lo <= 4
 
@@ -129,7 +118,7 @@ def test_prefactor_bracket_holds_the_exact_prefactor(p, tail_terms, guard_bits):
 def test_c_constants_past_the_underflow_stop(p):
     # at N = 200 most c_n round to 0.0, and the loop stops at the first one
     got = sl.c_constants(sl.LagrangianParams(p, 200))
-    assert got.tobytes() == fraction_constants(p, 200, 200).tobytes()
+    assert got.tobytes() == fraction_constants(p, 200).tobytes()
     zeros = np.flatnonzero(got == 0.0)
     assert 0 < zeros[0] < 100 and got[zeros[0]:].tobytes() == bytes(8 * (200 - zeros[0]))
 
@@ -233,6 +222,12 @@ def test_predicted_limit_trivial_cases():
     pred_odd = sl.predicted_limit(f, "odd", params)
     expect_odd = 0.75 * pair.e_plus.values + 0.25 * pair.e_minus.values
     assert np.abs(pred_odd.values - expect_odd).max() < 1e-12
+
+
+def test_predicted_limit_rejects_an_unknown_power_parity():
+    f = sl.make_density([0.25, 0.75], 64)
+    with pytest.raises(sl.ValidationError, match="power_parity must be 'even' or 'odd'"):
+        sl.predicted_limit(f, "both", sl.LagrangianParams(2, 64))
 
 
 def test_predicted_limit_checks_only_the_limit_it_returns():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import selmerlab as sl
 from selmerlab import cli
-from selmerlab.twists import TStepSampler, _compose, _t_row, sample_transitions
+from selmerlab.twists import PrimeStream, TStepSampler, _compose, _t_row, sample_transitions
 
 
 def default_config(seed=0):
@@ -144,6 +144,18 @@ def test_stream_is_a_read_only_sequence_of_sites():
         stream[len(sites)]
     with pytest.raises(ValueError):
         stream.norms[0] = 2.0
+
+
+def test_sites_reject_a_bad_norm_or_width():
+    # one site, and the same rules over a stream's arrays
+    with pytest.raises(sl.ValidationError, match="norm must be > 1, got 1.0"):
+        sl.PrimeSite(0, 1.0, 1)
+    with pytest.raises(sl.ValidationError, match="width must be 0, 1 or 2, got 3"):
+        sl.PrimeSite(0, 2.0, 3)
+    with pytest.raises(sl.ValidationError, match="norm must be > 1, got 1.0"):
+        PrimeStream(np.array([2.0, 1.0]), np.array([1, 1]))
+    with pytest.raises(sl.ValidationError, match="width must be 0, 1 or 2, got 3"):
+        PrimeStream(np.array([2.0, 3.0]), np.array([1, 3]))
 
 
 def test_t_distribution_rows():
