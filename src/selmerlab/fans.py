@@ -56,6 +56,7 @@ from .twists import (
     TStepSampler,
     _check_cutoff,
     _check_walks,
+    _marginals,
     _walk_average,
     exact_step_kernel,
     simulate_walks,
@@ -247,12 +248,12 @@ def _subsets(groups: list[tuple[int, int, int]], rng: np.random.Generator) -> np
     # of reads is decoded as one uint64 array and Floyd's digits are taken
     # a column at a time over all rows.  One wider total, whose value no
     # uint64 holds, sends every row through _uniforms and _floyd instead,
-    # and so do fewer than 64 rows, where the arrays' fixed cost of some
-    # 40 us is more than the per-value loop's.
+    # and so do fewer than 32 rows, where the per-value loop costs less
+    # than the arrays' fixed cost of some 60 us (the two cross near 32).
     counts = [c for _, _, c in groups]
     totals = [math.perm(n, x) for n, x, _ in groups]
     most = max((x for _, x, _ in groups), default=0)
-    if sum(counts) < 64 or max(totals).bit_length() > 56:
+    if sum(counts) < 32 or max(totals).bit_length() > 56:
         us = iter(_uniforms([t for t, c in zip(totals, counts) for _ in range(c)], rng))
         rows = [_floyd(n, x, next(us)) + [-1] * (most - x) for n, x, c in groups for _ in range(c)]
         return np.array(rows, dtype=np.int64).reshape(len(rows), most)
@@ -388,7 +389,7 @@ class Fan:
         u's offset in its segment, taken mod w, is again uniform below the
         next row's total.  The second batch gives each level the sites of
         every block it takes from (Floyd), grouped by (block, width,
-        number taken).  A batch of 64 subsets or more whose uniforms each
+        number taken).  A batch of 32 subsets or more whose uniforms each
         read at most 8 bytes is decoded as arrays (:func:`_subsets`); a
         smaller one, or one with a wider group such as criterion 10's
         (20, 40) fan has, keeps the per-value ``_uniforms`` + ``_floyd``
@@ -497,30 +498,10 @@ def level_rank_distribution(
     The one-level :func:`fan_distribution`.  Exact mode composes the
     one-step kernels (order-independent, since they are all powers of
     the same operator).  Sampled mode runs ``walks`` Monte Carlo walks
-    and returns the empirical density; like every level of a fan, they
-    draw from a child spawned from ``rng``, not from ``rng`` itself.
+    and returns the empirical density, drawn from ``rng`` as one
+    multinomial (see :func:`~selmerlab.twists.simulate_walks`).
     """
     return fan_distribution([level], initial, mode, p, rng, walks=walks)
-
-
-def _exact_levels(rows, initial: Density, p: int) -> dict[tuple[int, ...], Density]:
-    # The exact distribution of each distinct width row (norm order), each
-    # checked once.  Rows that share a prefix share its kernel products,
-    # which are the products ``apply`` makes, so every value is the same
-    # float; the empty row gives ``initial`` back.
-    products = {(): initial.values}
-    out = {(): initial}
-    for row in map(tuple, rows):
-        if row in out:
-            continue
-        values = initial.values
-        for n in range(1, len(row) + 1):
-            prefix = row[:n]
-            if prefix not in products:
-                products[prefix] = np.dot(values, _cached_kernel(row[n - 1], p, initial.N).matrix)
-            values = products[prefix]
-        out[row] = _density_unchecked(values)
-    return out
 
 
 def fan_distribution(
@@ -537,8 +518,10 @@ def fan_distribution(
     Equal weights are correct because every level of a fixed fan has
     the same number of sites, hence the same twist-fiber cardinality.
     In sampled mode each level runs ``walks // len(levels)`` walks, so
-    the remainder of the budget is not run, and each level draws from
-    its own spawned RNG substream.
+    the remainder of the budget is not run.  A level's histogram has the
+    law Multinomial(walks // len(levels), E) for its exact walk law E
+    under the sampled kernels, so one multinomial call on ``rng``, one
+    row per level, draws every level.
     """
     rows = [[site.width for site in level.sites] for level in levels]
     return _fan_average(rows, initial, mode, p, rng, walks, None)
@@ -552,11 +535,12 @@ def _fan_average(rows, initial, mode, p, rng, walks, sampler) -> Density:
     _check_mode(mode)
     if mode == "exact_kernel":
         # A fan repeats few width sequences, and fewer prefixes of them.
-        levels = _exact_levels(rows, initial, p)
-        return _density_unchecked(np.mean([levels[tuple(row)].values for row in rows], axis=0))
+        N = initial.N
+        levels = _marginals(rows, initial.values, lambda i: _cached_kernel(i, p, N).matrix)
+        return _density_unchecked(np.mean(levels, axis=0))
     if rng is None:
         raise ValidationError("sampled mode needs an rng")
-    return _walk_average(rows, initial, p, walks, rng.spawn(len(rows)), sampler)
+    return _walk_average(rows, initial, p, walks, rng, sampler)
 
 
 def _check_mode(mode) -> None:

@@ -303,19 +303,21 @@ class TStepSampler:
         self.y = y
         self.seed = seed
         self._rows: dict[tuple[int, int], np.ndarray] = {}
-        self._steps: dict[tuple[int, int, int], tuple[tuple[int, ...], np.ndarray]] = {}
 
     def row(self, i: int, r: int) -> np.ndarray:
         if (i, r) not in self._rows:
             self._rows[i, r] = self._build_row(i, r)
         return self._rows[i, r]
 
-    def _step(self, i: int, r: int, N: int) -> tuple[tuple[int, ...], np.ndarray]:
-        # The composed kernel row of rank r on window N: (targets, masses).
-        if (i, r, N) not in self._steps:
-            targets, masses = zip(*_compose(i, r, self.row(i, r), 1.0 / self.p, N))
-            self._steps[i, r, N] = (targets, np.array(masses))
-        return self._steps[i, r, N]
+    def _kernel(self, i: int, top: int, N: int) -> np.ndarray:
+        # The sampled width-i kernel on window N: row r is the composed row
+        # of rank r for r <= top, and zero above.  Folded targets can
+        # repeat; their masses add.
+        kernel = np.zeros((N, N))
+        for r in range(top + 1):
+            for target, mass in _compose(i, r, self.row(i, r), 1.0 / self.p, N):
+                kernel[r, target] += mass
+        return kernel
 
     def _build_row(self, i: int, r: int) -> np.ndarray:
         # Python floats on two or three entries.  Every sum adds left to
@@ -393,21 +395,16 @@ def simulate_walks(
     the window folds down two ranks, exactly as ``exact_step_kernel``
     folds its top rows.
 
-    Only that histogram is returned, so the engine propagates rank
-    counts instead of walks.  The start histogram of W i.i.d. draws is
-    Multinomial(W, initial).  Given the counts before a step, the
-    counts[r] walks at rank r move independently with the composed
-    kernel row K_i(r, .), so their destinations are
-    Multinomial(counts[r], K_i(r, .)), independently across r; summing
-    them gives the next counts with the same conditional law as
-    stepping every walk.  By induction the final histogram has exactly
-    the law of per-walk stepping, and the cost depends on the occupied
-    ranks, not on W.
+    Only that histogram is returned, and it is drawn directly.  A walk
+    is a Markov chain whose step through a width-i site has the kernel
+    K_i with rows composed from ``sampler.row(i, r)``, so its final rank
+    has the law E = initial K_{w1} ... K_{wm}, and W i.i.d. walks give a
+    histogram with exactly the law Multinomial(W, E).  The cost depends
+    on the window and the widths, not on W.
 
-    This is the one-level call of the engine a sampled fan runs all its
-    levels through; see :func:`_walk_average`.
+    This is the one-level case of a sampled fan; see :func:`_walk_average`.
     """
-    return _walk_average([widths], initial, p, walks, [rng], sampler)
+    return _walk_average([widths], initial, p, walks, rng, sampler)
 
 
 def _check_walks(walks, levels: int) -> None:
@@ -418,48 +415,46 @@ def _check_walks(walks, levels: int) -> None:
         raise ValidationError(f"need a walk per level, got {walks} for {levels} levels")
 
 
-def _walk_average(rows, initial, p, walks, rngs, sampler) -> Density:
-    # The walk engine: walks // len(rows) walks through each width row,
-    # row j drawing from rngs[j], and the mean of the level histograms.
-    # The window, walks and sampler checks, the start law and the one
-    # Density built are once per call, not once per level.  Each composed
-    # row is built once per sampler and window, so the levels share it;
-    # the generator sees one multinomial per occupied rank, in rank
-    # order, except that a row with one target (rank 0 at width 1) moves
-    # its count unchanged, where numpy's one-category multinomial draws
-    # nothing.  Batching the levels into one draw per step would change
-    # every sampled artifact, so it waits for an exact fan bias.
+def _marginals(rows, start: np.ndarray, kernel) -> np.ndarray:
+    # One row per width row: start times kernel(w1) ... kernel(wm), the law
+    # of a walk after that row.  Rows that share a prefix share its
+    # products, each one np.dot, so a row is the same floats as applying
+    # the kernels one at a time; the empty row gives start back.
+    products = {(): start}
+    keys = [tuple(row) for row in rows]
+    for key in keys:
+        if key not in products:
+            for n in range(len(key)):
+                if key[: n + 1] not in products:
+                    products[key[: n + 1]] = np.dot(products[key[:n]], kernel(key[n]))
+    return np.array([products[key] for key in keys])
+
+
+def _sampled_marginals(rows, initial: Density, sampler: TStepSampler) -> np.ndarray:
+    # _marginals under the sampler's kernels, from the start law scaled to
+    # sum to 1.  A width-i step rises at most i ranks and a fold lands
+    # lower, so no walk passes the start's top rank plus its row's total
+    # width; kernel rows above that would carry no mass, and are not built.
     N = initial.N
-    _check_window(N)
+    start = initial.as_float()
+    start = start / start.sum()
+    top = min(int(np.flatnonzero(start)[-1]) + max(map(sum, rows)), N - 1)
+    kernels = {i: sampler._kernel(i, top, N) for i in set().union(*rows)}
+    return _marginals(rows, start, kernels.__getitem__)
+
+
+def _walk_average(rows, initial, p, walks, rng, sampler) -> Density:
+    # A sampled fan: walks // len(rows) walks through each width row, and
+    # the mean of the level histograms.  Given the sampler, the walks of a
+    # level are i.i.d. chains, so its histogram is Multinomial(walks //
+    # len(rows), E_j) for its marginal E_j, and one multinomial call with
+    # one pvals row per level draws them all.  Every check comes before
+    # that call, the one read of rng.
+    _check_window(initial.N)
     _check_walks(walks, len(rows))
     sampler = sampler or TStepSampler(p)
     if sampler.p != p:
         raise ValidationError(f"sampler is for p = {sampler.p}, walks are for p = {p}")
     per_level = walks // len(rows)
-    pvals = initial.as_float()
-    pvals = pvals / pvals.sum()
-    steps, step = sampler._steps, sampler._step
-    histograms = []
-    for widths, rng in zip(rows, rngs):
-        multinomial = rng.multinomial
-        counts = multinomial(per_level, pvals).tolist()
-        occupied = [r for r, count in enumerate(counts) if count]
-        lo, hi = occupied[0], occupied[-1]
-        for i in widths:
-            nxt = [0] * N
-            for r in range(lo, hi + 1):
-                count = counts[r]
-                if count:
-                    targets, masses = steps.get((i, r, N)) or step(i, r, N)
-                    if len(targets) == 1:
-                        nxt[targets[0]] += count
-                        continue
-                    # Folded targets can repeat; each copy adds its own count.
-                    for target, moved in zip(targets, multinomial(count, masses).tolist()):
-                        nxt[target] += moved
-            counts = nxt
-            # A width-i step moves a walk at most i ranks, and a fold lands
-            # no higher than the rank it left.
-            lo, hi = max(lo - i, 0), min(hi + i, N - 1)
-        histograms.append(counts)
-    return _density_unchecked(np.mean(np.array(histograms) / per_level, axis=0))
+    counts = rng.multinomial(per_level, _sampled_marginals(rows, initial, sampler))
+    return _density_unchecked(np.mean(counts / per_level, axis=0))

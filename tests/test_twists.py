@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 import selmerlab as sl
 from selmerlab import cli
-from selmerlab.twists import PrimeStream, TStepSampler, _compose, _t_row, sample_transitions
+from selmerlab.twists import (
+    PrimeStream,
+    TStepSampler,
+    _sampled_marginals,
+    _t_row,
+    sample_transitions,
+)
 
 
 def default_config(seed=0):
@@ -415,58 +421,37 @@ def test_one_walk_step_conserves_count_support_and_parity(p, r, i, y, seed, walk
     assert all(s % 2 == (r + i) % 2 for s in support)
 
 
-def per_rank_walks(widths, initial, p, walks, rng, sampler):
-    # The engine before composed rows were cached: compose every occupied
-    # rank's row at every step and scatter its counts with np.add.at.
-    pvals = initial.as_float()
-    counts = rng.multinomial(walks, pvals / pvals.sum())
-    for i in widths:
-        nxt = np.zeros_like(counts)
-        for r in np.flatnonzero(counts).tolist():
-            pairs = _compose(i, r, sampler.row(i, r), 1.0 / p, initial.N)
-            targets, masses = zip(*pairs)
-            np.add.at(nxt, list(targets), rng.multinomial(counts[r], masses))
-        counts = nxt
-    return counts / walks
-
-
-@settings(max_examples=80, deadline=None, database=None)
-@given(
-    p=st.sampled_from([2, 3, 5, 7]),
-    N=st.integers(2, 12),
-    y=st.sampled_from([None, 2.0, 10.0, 1000.0]),
-    walks=st.sampled_from([1, 7, 10**6]),
-    widths=st.lists(st.sampled_from([1, 2]), max_size=10),
-    weights=st.lists(st.integers(0, 5), min_size=1, max_size=12),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_simulate_walks_draws_match_the_per_rank_loop(p, N, y, walks, widths, weights, seed):
-    # cached rows and list counts leave every draw and every count as it was
-    weights = weights[:N]
-    if not any(weights):
-        weights[0] = 1
-    init = sl.make_density(np.array(weights) / sum(weights), N)
-    out = sl.simulate_walks(
-        widths, init, p, walks, np.random.default_rng(seed), TStepSampler(p, y, seed)
-    )
-    expect = per_rank_walks(
-        widths, init, p, walks, np.random.default_rng(seed), TStepSampler(p, y, seed)
-    )
-    assert np.array_equal(out.values, expect)
-
-
 def test_one_sampler_serves_two_windows():
-    # composed rows are keyed by the window: a row folded for N = 5 must
-    # not be reused at N = 9
+    # kernels are built per window: rows folded for N = 5 must not be
+    # reused at N = 9, so a shared sampler gives a fresh one's bytes
     p, widths = 3, [2, 1, 2, 2, 1, 2]
     sampler = TStepSampler(p, 10.0, 21)
     for N in (5, 9, 5):
         init = sl.make_density([0.0, 0.0, 0.5, 0.5], N)
         out = sl.simulate_walks(widths, init, p, 10**6, np.random.default_rng(N), sampler)
-        expect = per_rank_walks(
+        expect = sl.simulate_walks(
             widths, init, p, 10**6, np.random.default_rng(N), TStepSampler(p, 10.0, 21)
         )
-        assert np.array_equal(out.values, expect)
+        assert out.values.tobytes() == expect.values.tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("N", range(2, 13))
+def test_sampled_marginals_match_exact_kernels(p, N):
+    # the sampled route (float sampler rows composed per rank, rows above
+    # the reach left out) and the exact route (Fraction rows composed into
+    # exact_step_kernel) give the same per-level laws; rows this long fold
+    # at the top of every window here
+    rows = [[], [1], [2], [1, 2, 2, 1, 2], [2] * 7, [1] * 8, [2, 1, 1, 2, 2, 1]]
+    kernels = {i: sl.exact_step_kernel(i, p, N).matrix for i in (1, 2)}
+    for weights in ([1.0], [0.0, 0.5, 0.5], [1.0] * N):
+        init = sl.make_density(np.array(weights[:N]) / sum(weights[:N]), N)
+        got = _sampled_marginals(rows, init, TStepSampler(p))
+        for row, law in zip(rows, got):
+            expect = init.values
+            for i in row:
+                expect = expect @ kernels[i]
+            assert np.abs(law - expect).max() <= 1e-15, (row, weights)
 
 
 def test_simulate_walks_rejects_a_sampler_for_another_prime():
@@ -494,19 +479,6 @@ def test_sampler_rejects_a_composite_modulus():
     init = sl.make_density([1.0], 8)
     with pytest.raises(sl.InvalidPrime):
         sl.simulate_walks([], init, 4, 10, np.random.default_rng(0))
-
-
-def test_one_target_rows_draw_nothing():
-    # rank 0 at width 1 moves every walk to rank 1: the engine adds the
-    # count without a multinomial call, and the generator is left exactly
-    # where numpy's one-category multinomial would leave it
-    init = sl.make_density([1.0], 8)
-    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
-    out = sl.simulate_walks([1], init, 2, 1000, rng)
-    assert out.values[1] == 1.0
-    reference.multinomial(1000, init.as_float())
-    reference.multinomial(1000, [1.0])
-    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def numpy_build_row(sampler, i, r):
