@@ -184,14 +184,15 @@ def _render_csv(payload: dict) -> str:
 
 
 def _render_json(payload: dict) -> str:
-    # json.dumps(payload, sort_keys=True) written key by key, so that the
-    # table goes through _json_rows and only the small dicts through
-    # _round15.  The artifact's key for the table is "rows".
-    texts = {"rows": _json_rows(payload["table"])}
-    for key, value in payload.items():
-        if key != "table":
-            texts[key] = json.dumps(_round15(value), sort_keys=True)
-    return "{" + ", ".join(f'"{key}": {texts[key]}' for key in sorted(texts)) + "}\n"
+    # json.dumps(payload, sort_keys=True) with the table, under the
+    # artifact's key "rows", written by _json_rows: one json.dumps call
+    # writes every other key around a 0 held under "rows", and the table
+    # text replaces that 0.  In JSON text '"rows": ' can only be a key
+    # named "rows" (a quote inside a string is escaped), and no payload
+    # value is a dict with such a key, so its one match is the placeholder.
+    rest = {key: value for key, value in payload.items() if key != "table"}
+    head, tail = json.dumps(_round15({**rest, "rows": 0}), sort_keys=True).split('"rows": 0', 1)
+    return head + '"rows": ' + _json_rows(payload["table"]) + tail + "\n"
 
 
 def _emit(payload: dict, args) -> None:

@@ -17,10 +17,16 @@ sampled mode; :func:`fan_collapse` is the one pipeline that runs it.
 A :class:`Fan` owns one fan's count and draw: the bounds cut the
 norm-sorted sites into a few blocks, and counting how many width-1 and
 width-2 sites a level takes from each block gives the exact ``size``
-|D(m, k, X)| and a uniform ``draw``.  A caller that draws many times
-holds one Fan; nothing is cached behind :func:`sample_levels`.  Norm
-products overflow any fixed-width float for modest m, so bounds and
-norms are compared in the log domain throughout.
+|D(m, k, X)| and a uniform ``draw``.  A
+:class:`~selmerlab.twists.PrimeStream` keeps one Fan per distinct
+:class:`FanSpec` drawn from it, so :func:`sample_levels`,
+:func:`fan_collapse` and :func:`fan_union_distribution` build each fan
+of a stream once.  A kept Fan is mostly two int64 index arrays, the
+stream's site ids and its positive-width sites, at most 16 bytes per
+site; it is freed with the stream.  Any other sequence of sites builds
+a Fan per call.  Norm products overflow any fixed-width float for
+modest m, so bounds and norms are compared in the log domain
+throughout.
 """
 
 from __future__ import annotations
@@ -314,6 +320,7 @@ class Fan:
 
     which costs O(S (n1 + n2)) per block for S = (n1+1)(n2+1) states;
     ``size`` = C(0, 0) is |D(m, k, X)|.  Building a Fan reads no rng.
+    ``draw`` keeps each block row it builds, so later draws reuse it.
     """
 
     def __init__(self, stream, spec: FanSpec):
@@ -358,6 +365,7 @@ class Fan:
             for x in range(min(len(ones), n1) + 1):
                 counts[: n1 + 1 - x] += math.comb(len(ones), x) * partial[x:]
         self.size = counts[0, 0]
+        self._rows: dict[tuple[int, int, int], tuple] = {}  # (block, a, b) -> _row
 
     def _row(self, i: int, a: int, b: int) -> tuple[list[int], list[tuple[int, int, int]]]:
         # Block i's choices from state (a, b): the cumulative weights, and per
@@ -407,7 +415,7 @@ class Fan:
             raise EmptyFan(
                 f"no level in this stream satisfies (m, k, X) = ({spec.m}, {spec.k}, {spec.X})"
             )
-        rows: dict[tuple[int, int, int], tuple] = {}  # built for visited states only
+        rows = self._rows  # built for visited states only
         takes: dict[tuple[int, int, int], list[int]] = {}  # (block, width, n) -> levels
         for j, u in enumerate(_uniforms([self.size] * count, rng)):
             a = b = 0
@@ -436,6 +444,19 @@ class Fan:
         return sites[np.lexsort((sites, level[rows]))].reshape(count, spec.m)
 
 
+def _fan_of(stream, spec: FanSpec) -> Fan:
+    # The Fan of (stream, spec): kept on a PrimeStream, whose arrays are
+    # read-only, under the frozen spec; built anew for any other sequence.
+    # Specs that compare equal share one Fan, so its errors print the
+    # first one's fields (X = 10.0 for a later X = 10).
+    if not isinstance(stream, PrimeStream):
+        return Fan(stream, spec)
+    fan = stream._fans.get(spec)
+    if fan is None:
+        fan = stream._fans[spec] = Fan(stream, spec)
+    return fan
+
+
 def sample_levels(stream, spec: FanSpec, count: int, rng: np.random.Generator) -> list[Level]:
     """Draw ``count`` levels uniformly from the fan (with replacement).
 
@@ -444,8 +465,10 @@ def sample_levels(stream, spec: FanSpec, count: int, rng: np.random.Generator) -
     then x width-1 and y width-2 sites of the block uniformly.  All
     ``count`` draws are made together from two batches of exact
     uniforms; the j-th level returned is the j-th independent draw.
+    A :class:`~selmerlab.twists.PrimeStream` keeps the fan's count table
+    for later calls.
     """
-    fan = Fan(stream, spec)
+    fan = _fan_of(stream, spec)
     rows = fan.draw(count, rng)
     ids, norms, widths = (column[rows].tolist() for column in (fan.ids, fan.norms, fan.widths))
     return [Level(tuple(map(PrimeSite, *site))) for site in zip(ids, norms, widths)]
@@ -589,7 +612,7 @@ def fan_collapse(
     if levels < 1:
         raise ValidationError(f"levels must be >= 1, got {levels}")
     _check_run(mode, p, initial.N, walks, levels, y)
-    fan = Fan(stream, spec)
+    fan = _fan_of(stream, spec)
     rows = fan.widths[fan.draw(levels, rng)].tolist()
     sampler = _seeded_sampler(p, y, rng) if mode == "sampled_at_Y" else None
     average = _fan_average(rows, initial, mode, p, rng, walks, sampler)
@@ -671,7 +694,7 @@ def fan_union_distribution(
     _check_count(levels_per_slice)  # before the sampled mode's seed is read
     if levels_per_slice < 1:
         raise ValidationError(f"levels_per_slice must be >= 1, got {levels_per_slice}")
-    fans = (Fan(stream, FanSpec.from_rate(rate, m, k, X))
+    fans = (_fan_of(stream, FanSpec.from_rate(rate, m, k, X))
             for m in (range((k + 1) // 2, min(k, m_max) + 1) if k > 0 else [0]))
     slices = [fan for fan in fans if fan.size]
     if not slices:

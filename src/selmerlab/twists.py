@@ -122,9 +122,11 @@ class PrimeStream(Sequence[PrimeSite]):
     Site j is ``PrimeSite(j, norms[j], widths[j])``, built on indexing;
     the sites are sorted by (norm, id).  Compares equal to any sequence
     of the same sites, a list included; a slice is a list of sites.
+    ``_fans`` keeps the fans built on the stream, one per distinct
+    ``FanSpec`` (see ``fans._fan_of``).
     """
 
-    __slots__ = ("norms", "widths")
+    __slots__ = ("norms", "widths", "_fans")
 
     def __init__(self, norms: np.ndarray, widths: np.ndarray):
         bad = np.flatnonzero(~(norms > 1.0))
@@ -135,6 +137,7 @@ class PrimeStream(Sequence[PrimeSite]):
             raise ValidationError(f"site width must be 0, 1 or 2, got {widths[bad[0]]}")
         self.norms, self.widths = norms, widths
         norms.flags.writeable = widths.flags.writeable = False
+        self._fans = {}
 
     def __len__(self) -> int:
         return len(self.norms)
@@ -433,13 +436,21 @@ def _marginals(rows, start: np.ndarray, kernel) -> np.ndarray:
 def _sampled_marginals(rows, initial: Density, sampler: TStepSampler) -> np.ndarray:
     # _marginals under the sampler's kernels, from the start law scaled to
     # sum to 1.  A width-i step rises at most i ranks and a fold lands
-    # lower, so no walk passes the start's top rank plus its row's total
-    # width; kernel rows above that would carry no mass, and are not built.
+    # lower, so a walk meets its n-th step no higher than the start's top
+    # rank plus the widths before it.  Each width's kernel is built up to
+    # the highest such rank over its steps, its reach; kernel rows above
+    # it would meet no mass, and are not built.
     N = initial.N
     start = initial.as_float()
     start = start / start.sum()
-    top = min(int(np.flatnonzero(start)[-1]) + max(map(sum, rows)), N - 1)
-    kernels = {i: sampler._kernel(i, top, N) for i in set().union(*rows)}
+    top = int(np.flatnonzero(start)[-1])
+    reach = {}
+    for row in rows:
+        climb = top
+        for i in row:
+            reach[i] = max(reach.get(i, climb), climb)
+            climb += i
+    kernels = {i: sampler._kernel(i, min(r, N - 1), N) for i, r in reach.items()}
     return _marginals(rows, start, kernels.__getitem__)
 
 

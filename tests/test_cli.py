@@ -605,7 +605,7 @@ def test_table_writers_match_the_per_cell_formulas(data, rows, width, ints):
     check_table_writers(index + floats)
 
 
-@pytest.mark.parametrize("argv", [
+SUBCOMMAND_ARGVS = [
     ["constants", "-p", "3"],
     ["constants", "-p", "101", "-N", "200"],
     ["equilibrium", "-p", "7"],
@@ -616,9 +616,11 @@ def test_table_writers_match_the_per_cell_formulas(data, rows, width, ints):
     ["fans", "SPEC"],
     ["fans", "TABLE_SPEC"],
     ["fans", "SAMPLED_SPEC"],
-])
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_each_subcommand_writes_the_per_cell_bytes(argv, fmt, tmp_path, capsys):
+]
+
+
+def subcommand_argv(argv, tmp_path):
+    # ``argv`` with its TABLE and *_SPEC placeholders written as files.
     table = tmp_path / "table.json"
     table.write_text(table_json())
     specs = {
@@ -626,13 +628,56 @@ def test_each_subcommand_writes_the_per_cell_bytes(argv, fmt, tmp_path, capsys):
         "TABLE_SPEC": {"m": 3, "k": 4, "table": str(table), "N": 48},
         "SAMPLED_SPEC": {"mode": "sampled", "walks": 2000, "Y": 100.0, "seed": 3},
     }
-    argv = [
+    return [
         fans_spec(tmp_path, **specs[arg]) if arg in specs else str(table) if arg == "TABLE" else arg
         for arg in argv
-    ] + ["--format", fmt]
+    ]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_each_subcommand_writes_the_per_cell_bytes(argv, fmt, tmp_path, capsys):
+    argv = subcommand_argv(argv, tmp_path) + ["--format", fmt]
     args = cli._PARSER.parse_args(argv)
     payload, code = args.func(args)
     assert code == 0
     old = {key: value for key, value in payload.items() if key != "table"}
     old["rows"] = rows_of(payload["table"])
     assert run(argv, capsys)[1] == reference_render(old, fmt)
+
+
+def per_key_render(payload):
+    # The JSON writer before one json.dumps call wrote every non-table key:
+    # each key's value dumped on its own, the table as "rows", joined in
+    # sorted key order.
+    texts = {"rows": cli._json_rows(payload["table"])}
+    for key, value in payload.items():
+        if key != "table":
+            texts[key] = json.dumps(cli._round15(value), sort_keys=True)
+    return "{" + ", ".join(f'"{key}": {texts[key]}' for key in sorted(texts)) + "}\n"
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS)
+def test_one_call_json_matches_the_per_key_rendering(argv, tmp_path):
+    args = cli._PARSER.parse_args(subcommand_argv(argv, tmp_path) + ["--format", "json"])
+    payload, _ = args.func(args)
+    assert cli._render_json(payload) == per_key_render(payload)
+
+
+def test_one_call_json_splices_rows_among_quoted_keys():
+    # Strings that hold quotes, backslashes and the text '"rows": 0', and
+    # keys on both sides of "rows" in sort order.
+    table = [np.arange(3), np.array([0.5, 1 / 3, 2.0])]
+    tricky = 'a "quoted" \\ back\\slash \\"rows\\": 0 "rows": 0'
+    payload = {
+        "params": {"initial": tricky, 'say "rows": 0': 1.0 / 3.0, "back\\": [tricky, 2]},
+        "columns": ["n", 'c"ol\\'],
+        "table": table,
+        "footer": {'delta_v["a\\"]': 0.1, "rows_seen": 3},
+        "summary": {"note": tricky, "x": 1e-5},
+        "zeta": [1.0, "\\"],
+    }
+    assert cli._render_json(payload) == per_key_render(payload)
+    rendered = json.loads(cli._render_json(payload))
+    assert rendered["rows"] == reference_round15(rows_of(table)) and rendered["params"]["initial"] == tricky
+    assert list(rendered) == ["columns", "footer", "params", "rows", "summary", "zeta"]

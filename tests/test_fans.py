@@ -16,6 +16,7 @@ from selmerlab.fans import (
     FanSpec,
     Level,
     _fan_average,
+    _fan_of,
     _floyd,
     _subsets,
     _uniforms,
@@ -374,6 +375,61 @@ def test_held_fan_draws_what_sample_levels_draws():
         for count in (7, 5)
     ]
     assert held == fresh
+
+
+def test_a_stream_keeps_one_fan_per_spec():
+    stream = default_stream()
+    spec = FanSpec.from_rate(SQUARE, 4, 6, 10.0)
+    twin = FanSpec.from_rate(SQUARE, 4, 6, 10.0)
+    assert twin == spec and twin is not spec
+    fan = _fan_of(stream, spec)
+    assert _fan_of(stream, twin) is fan
+    assert _fan_of(stream, FanSpec.from_rate(SQUARE, 2, 3, 10.0)) is not fan
+    sl.sample_levels(stream, twin, 3, np.random.default_rng(0))
+    assert _fan_of(stream, spec) is fan
+    # another stream, or a plain list of the same sites, builds its own
+    assert _fan_of(default_stream(), spec) is not fan
+    sites = list(stream)
+    assert _fan_of(sites, spec) is not _fan_of(sites, spec)
+
+
+def test_kept_fan_draws_what_a_fresh_fan_draws():
+    # the kept Fan holds block rows from earlier draws; each of five draws
+    # takes the same sites and leaves the generator in the same state as
+    # a Fan built for that draw alone
+    stream = default_stream(2e4, seed=3)
+    for m, k in ((2, 3), (6, 9)):
+        spec = FanSpec.from_rate(SQUARE, m, k, 10.0)
+        kept = _fan_of(stream, spec)
+        kept.draw(40, np.random.default_rng(99))
+        for seed, count in enumerate((1, 7, 30, 64, 3)):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert kept.draw(count, a).tolist() == Fan(stream, spec).draw(count, b).tolist()
+            assert a.bit_generator.state == b.bit_generator.state
+        # a plain list of the same sites draws the same levels
+        a = sl.sample_levels(stream, spec, 20, np.random.default_rng(m))
+        b = sl.sample_levels(list(stream), spec, 20, np.random.default_rng(m))
+        assert a == b
+
+
+@pytest.mark.parametrize("mode", ["exact_kernel", "sampled_at_Y"])
+def test_fan_collapse_bytes_do_not_depend_on_kept_fans(mode):
+    init = sl.make_density([0.5, 0.5], 16)
+    spec = FanSpec.from_rate(SQUARE, 4, 6, 10.0)
+
+    def collapse(stream):
+        rng = np.random.default_rng(5)
+        fan, target = sl.fan_collapse(spec, stream, init, mode, 2, rng,
+                                      levels=9, walks=9000, y=50.0)
+        return fan.values.tobytes(), target.values.tobytes(), rng.bit_generator.state
+
+    fresh = collapse(default_stream())
+    used = default_stream()
+    for m, k in ((2, 3), (6, 9), (4, 6)):
+        sl.fan_collapse(FanSpec.from_rate(SQUARE, m, k, 10.0), used, init, mode, 2,
+                        np.random.default_rng(m), levels=4, walks=400, y=20.0)
+    assert collapse(used) == fresh == collapse(default_stream())
+    assert collapse(list(used)) == fresh
 
 
 def test_sample_levels_rejects_a_bad_count():

@@ -13,6 +13,7 @@ from selmerlab import cli
 from selmerlab.twists import (
     PrimeStream,
     TStepSampler,
+    _marginals,
     _sampled_marginals,
     _t_row,
     sample_transitions,
@@ -452,6 +453,28 @@ def test_sampled_marginals_match_exact_kernels(p, N):
             for i in row:
                 expect = expect @ kernels[i]
             assert np.abs(law - expect).max() <= 1e-15, (row, weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    N=st.integers(2, 12),
+    rows=st.lists(st.lists(st.sampled_from([1, 2]), max_size=7), min_size=1, max_size=6),
+    weights=st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(any),
+    y=st.sampled_from([None, 2.0, 30.0]),
+    seed=st.integers(0, 2**62),
+)
+def test_sampled_marginals_equal_products_with_full_kernels(p, N, rows, weights, y, seed):
+    # each width's sampler kernel is built only up to its reach; the same
+    # products with every kernel built to N - 1 are the same floats
+    weights = weights[:N] if any(weights[:N]) else [1]
+    init = sl.make_density(np.array(weights) / sum(weights), N)
+    got = _sampled_marginals(rows, init, TStepSampler(p, y, seed))
+    start = init.as_float()
+    full = TStepSampler(p, y, seed)
+    kernels = {i: full._kernel(i, N - 1, N) for i in (1, 2)}
+    expect = _marginals(rows, start / start.sum(), kernels.__getitem__)
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_simulate_walks_rejects_a_sampler_for_another_prime():
