@@ -136,7 +136,9 @@ def _json_rows(table) -> str:
     cells = _cells(table)
     ints = table[0].dtype.kind == "i"
     values = np.array(table[ints:]).T
-    size = np.minimum(np.abs(values), 1e14)  # no inf - inf below
+    # fmin sends inf and NaN to 1e14, their class, so no inf - inf below
+    # and no rint of a signaling NaN, which warns of an invalid value
+    size = np.fmin(np.abs(values), 1e14)
     kind = np.searchsorted(_BOUNDS, size, "right")
     whole = np.abs(size - np.rint(size)) <= _RADIUS[kind]
     lead = "[%d, " if ints else "["
@@ -386,7 +388,7 @@ def cmd_fans(args):
         table = spec["table"]
         table = _read_table(_load_json(table) if isinstance(table, str) else table)
         report = end_to_end_fan_experiment(
-            table, rate, m, k, X, mode, p, N, rng, orientation,
+            table, rate, m, k, X, mode, p, N, rng=rng, orientation=orientation,
             stream=config, stream_X=stream_X, levels=levels, walks=walks, y=y,
         )
         payload = {

@@ -239,9 +239,9 @@ def end_to_end_fan_experiment(
     mode: Mode,
     p: int,
     N: int = 64,
-    rng: np.random.Generator | None = None,
-    orientation: Orientation = "odd_heavy",
     *,
+    rng: np.random.Generator,
+    orientation: Orientation = "odd_heavy",
     stream: StreamConfig | None = None,
     stream_X: float = 2000.0,
     levels: int = 30,
@@ -256,8 +256,6 @@ def end_to_end_fan_experiment(
     so that the walk's limit lands on that orientation: the two sign
     conventions differ exactly by delta -> -delta in the pair.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     delta = delta_global(table)
     # Built first: it reads no rng and rejects a bad orientation before any sampling.
     limit = limit_distribution(delta, p, N, orientation)

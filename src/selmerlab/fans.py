@@ -207,16 +207,20 @@ def width_pattern(m: int, k: int) -> tuple[int, int]:
     return n1, n2
 
 
+def _reads(total: int) -> tuple[int, int]:
+    # The one byte-reading rule of the fan draw: an exact uniform below
+    # total reads w whole bytes as a little-endian v, and keeps v % total
+    # when v lies under bound, the largest multiple of total below 256**w;
+    # otherwise it is redrawn.  One spare byte keeps acceptance above 255/256.
+    w = (total.bit_length() + 7) // 8 + 1
+    return w, 256**w // total * total
+
+
 def _uniforms(totals: list[int], rng: np.random.Generator) -> list[int]:
-    # One exact uniform below each of ``totals``, all read from one buffer
-    # of whole bytes: a value v read from w bytes is kept as v % total when
-    # it lies under the largest multiple of total below 256**w, and is
-    # redrawn otherwise.  One spare byte keeps acceptance above 255/256.
-    # Each distinct total's (w, multiple) is worked out once.
-    limits = {}
-    for total in set(totals):
-        w = (total.bit_length() + 7) // 8 + 1
-        limits[total] = (w, 256**w // total * total)
+    # One exact uniform below each of ``totals`` by the _reads rule, all read
+    # from one buffer of whole bytes per round, in order.  Each distinct
+    # total's rule is worked out once.
+    limits = {total: _reads(total) for total in set(totals)}
     shapes = [limits[total] for total in totals]
     out, todo = [0] * len(totals), list(range(len(totals)))
     while todo:
@@ -249,28 +253,27 @@ def _subsets(groups: list[tuple[int, int, int]], rng: np.random.Generator) -> np
     # For each (n, x, count) group in turn, ``count`` rows each holding an
     # x-subset of range(n), padded with -1 to the widest x: the subsets
     # _floyd makes from one _uniforms call over perm(n, x) repeated count
-    # times (the entries of a row in another order).  When every perm(n, x)
-    # has at most 56 bits, every value reads at most 8 bytes, so each round
-    # of reads is decoded as one uint64 array and Floyd's digits are taken
-    # a column at a time over all rows.  One wider total, whose value no
-    # uint64 holds, sends every row through _uniforms and _floyd instead,
-    # and so do fewer than 32 rows, where the per-value loop costs less
-    # than the arrays' fixed cost of some 60 us (the two cross near 32).
+    # times (the entries of a row in another order).  When every value
+    # reads at most 8 bytes by the _reads rule, each round of reads is
+    # decoded as one uint64 array and Floyd's digits are taken a column at
+    # a time over all rows.  One wider read, whose value no uint64 holds,
+    # sends every row through _uniforms and _floyd instead, and so do
+    # fewer than 32 rows, where the per-value loop costs less than the
+    # arrays' fixed cost of some 60 us (the two cross near 32).
     counts = [c for _, _, c in groups]
     totals = [math.perm(n, x) for n, x, _ in groups]
     most = max((x for _, x, _ in groups), default=0)
-    if sum(counts) < 32 or max(totals).bit_length() > 56:
+    reads = [_reads(t) for t in totals]
+    if sum(counts) < 32 or max(w for w, _ in reads) > 8:
         us = iter(_uniforms([t for t, c in zip(totals, counts) for _ in range(c)], rng))
         rows = [_floyd(n, x, next(us)) + [-1] * (most - x) for n, x, c in groups for _ in range(c)]
         return np.array(rows, dtype=np.int64).reshape(len(rows), most)
     per_group = np.array(groups, dtype=np.int64)
     n, x = np.repeat(per_group[:, :2], counts, axis=0).T
-    widths = [(t.bit_length() + 7) // 8 + 1 for t in totals]
-    width = np.repeat(np.array(widths, dtype=np.int64), counts)
+    width = np.repeat(np.array([w for w, _ in reads], dtype=np.int64), counts)
     total = np.repeat(np.array(totals, dtype=np.uint64), counts)
-    # the largest value kept, 256**w // t * t - 1, which fits even at 2**64
-    last = np.repeat(np.array([256**w // t * t - 1 for t, w in zip(totals, widths)],
-                              dtype=np.uint64), counts)
+    # the largest value kept, bound - 1, which fits even at bound = 2**64
+    last = np.repeat(np.array([bound - 1 for _, bound in reads], dtype=np.uint64), counts)
     u = np.zeros(len(x), dtype=np.uint64)
     todo = np.arange(len(x))
     while len(todo):
@@ -293,10 +296,10 @@ def _subsets(groups: list[tuple[int, int, int]], rng: np.random.Generator) -> np
     return held
 
 
-def _check_count(count) -> None:
-    # The one rule for a level count: a non-bool int >= 0.
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
-        raise ValidationError(f"count must be an int >= 0, got {count!r}")
+def _check_count(value, name: str, least: int) -> None:
+    # The one rule for a level count: a non-bool int >= least.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 class Fan:
@@ -405,7 +408,7 @@ class Fan:
         sites are then sorted.
         """
         spec = self.spec
-        _check_count(count)
+        _check_count(count, "count", 0)
         if not self.size:
             n1, n2 = self._pattern
             if np.count_nonzero(self.widths == 1) < n1 or np.count_nonzero(self.widths == 2) < n2:
@@ -608,9 +611,7 @@ def fan_collapse(
     Every input is checked before the first read of ``rng``, so a
     rejected call leaves it as it was.
     """
-    _check_count(levels)
-    if levels < 1:
-        raise ValidationError(f"levels must be >= 1, got {levels}")
+    _check_count(levels, "levels", 1)
     _check_run(mode, p, initial.N, walks, levels, y)
     fan = _fan_of(stream, spec)
     rows = fan.widths[fan.draw(levels, rng)].tolist()
@@ -691,9 +692,7 @@ def fan_union_distribution(
     distribution, so the weights are irrelevant there, which is part of
     the point being verified.
     """
-    _check_count(levels_per_slice)  # before the sampled mode's seed is read
-    if levels_per_slice < 1:
-        raise ValidationError(f"levels_per_slice must be >= 1, got {levels_per_slice}")
+    _check_count(levels_per_slice, "levels_per_slice", 1)  # before the sampled seed is read
     fans = (_fan_of(stream, FanSpec.from_rate(rate, m, k, X))
             for m in (range((k + 1) // 2, min(k, m_max) + 1) if k > 0 else [0]))
     slices = [fan for fan in fans if fan.size]

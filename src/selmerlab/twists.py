@@ -292,8 +292,9 @@ class TStepSampler:
     perturbation, drawn deterministically from (seed, i, r), whose total
     l1 size is at most 1/y and which keeps the row a distribution with
     support inside {0, ..., min(i, r)}.  The perturbation is systematic
-    (cached, not redrawn), so it behaves like the finite-cutoff bias the
-    convergence-rate contract describes rather than extra noise.
+    (keyed by (seed, i, r), so every call gives the same row), so it
+    behaves like the finite-cutoff bias the convergence-rate contract
+    describes rather than extra noise.
     """
 
     def __init__(self, p: int, y: float | None = None, seed: int = 0):
@@ -305,12 +306,6 @@ class TStepSampler:
         self.p = p
         self.y = y
         self.seed = seed
-        self._rows: dict[tuple[int, int], np.ndarray] = {}
-
-    def row(self, i: int, r: int) -> np.ndarray:
-        if (i, r) not in self._rows:
-            self._rows[i, r] = self._build_row(i, r)
-        return self._rows[i, r]
 
     def _kernel(self, i: int, top: int, N: int) -> np.ndarray:
         # The sampled width-i kernel on window N: row r is the composed row
@@ -322,7 +317,7 @@ class TStepSampler:
                 kernel[r, target] += mass
         return kernel
 
-    def _build_row(self, i: int, r: int) -> np.ndarray:
+    def row(self, i: int, r: int) -> np.ndarray:
         # Python floats on two or three entries.  Every sum adds left to
         # right, the order numpy uses for so few entries, so a row is the
         # same floats numpy array arithmetic gives.
@@ -340,7 +335,9 @@ class TStepSampler:
         if norm == 0.0:
             return row
         direction = [d / norm for d in direction]
-        eps = rng.uniform(0.5, 1.0) / self.y
+        # rng.uniform(0.5, 1.0) as arithmetic: the same float and the same
+        # generator state, without uniform's per-call errstate entry.
+        eps = (0.5 + 0.5 * rng.random()) / self.y
         out = row.tolist()
         # Shrink so no entry goes negative; the perturbation stays a
         # valid bias of l1 size eps <= 1/y.

@@ -360,7 +360,7 @@ def test_fans_zero_levels_is_rejected_when_read(tmp_path, capsys):
     path.write_text(json.dumps({"m": 2, "k": 3, "X": 10, "levels": 0}))
     code, out, err = run(["fans", str(path)], capsys)
     assert code == 1
-    assert "levels must be >= 1" in err
+    assert "levels must be an int >= 1, got 0" in err
 
 
 def test_disparity_command(tmp_path, capsys):
@@ -543,6 +543,8 @@ EDGE_VALUES = [
     2.2250738585072014e-308, 5e-324, math.nan, math.inf, -math.inf, 1e300,
     123456789012345.0, 99999999999999.0, 9999999999999.99, 1e15, 1e16, 1e17,
     0.00010000000000000002, 9.999999999999999e-05, 0.30000000000000004,
+    # signaling NaNs, on which np.rint raises "invalid value"
+    from_bits(0x7FF0000000000001), from_bits(0x7FF4000000000000),
 ]
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2, chi2_contingency
 
 import selmerlab as sl
+from selmerlab import fans
 from selmerlab.fans import (
     Fan,
     FanSpec,
@@ -692,6 +693,17 @@ def test_subsets_match_the_per_value_draw_through_a_redraw():
     check_subsets(groups, 0)
 
 
+@pytest.mark.parametrize("n, per_value", [(2**56 - 1, False), (2**56, True)])
+def test_subsets_switch_paths_at_eight_bytes(n, per_value, monkeypatch):
+    # perm(2**56 - 1, 1) reads 8 bytes, the most one uint64 holds, so its
+    # 40 rows are decoded as arrays; perm(2**56, 1) reads 9 bytes and goes
+    # through the per-value _floyd path
+    calls = []
+    monkeypatch.setattr(fans, "_floyd", lambda *args: calls.append(args) or _floyd(*args))
+    check_subsets([(n, 1, 40)], 0)
+    assert bool(calls) == per_value
+
+
 def test_exact_fan_distribution_equals_per_level_stack():
     init = make_initial(32)
     stream = default_stream()
@@ -719,7 +731,7 @@ def test_fan_collapse_residual_exact_is_zero():
 
 def test_fan_collapse_needs_a_level():
     spec = FanSpec.from_rate(SQUARE, 2, 3, 10.0)
-    with pytest.raises(sl.ValidationError, match="levels must be >= 1"):
+    with pytest.raises(sl.ValidationError, match="levels must be an int >= 1, got 0"):
         sl.fan_collapse(
             spec, default_stream(), make_initial(32), "exact_kernel", 2,
             np.random.default_rng(0), levels=0,
@@ -731,12 +743,12 @@ def test_fan_collapse_rejects_a_non_int_level_count(levels):
     spec = FanSpec.from_rate(SQUARE, 2, 3, 10.0)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    with pytest.raises(sl.ValidationError, match="count must be an int >= 0"):
+    with pytest.raises(sl.ValidationError, match="levels must be an int >= 1"):
         sl.fan_collapse_residual(
             spec, default_stream(), make_initial(32), "exact_kernel", 2,
             rng, levels=levels,
         )
-    with pytest.raises(sl.ValidationError, match="count must be an int >= 0"):
+    with pytest.raises(sl.ValidationError, match="levels must be an int >= 1"):
         sl.fan_collapse(
             spec, default_stream(), make_initial(32), "sampled_at_Y", 2,
             rng, levels=levels, walks=1000, y=100.0,
@@ -891,7 +903,7 @@ def test_fan_union_no_feasible_slice():
 
 def test_fan_union_needs_a_level_per_slice():
     # zero levels per slice is a bad argument, not an empty fan
-    with pytest.raises(sl.ValidationError, match="levels_per_slice must be >= 1"):
+    with pytest.raises(sl.ValidationError, match="levels_per_slice must be an int >= 1, got 0"):
         sl.fan_union_distribution(
             default_stream(), 4, 4, 10.0, SQUARE, make_initial(32), "exact_kernel", 2,
             np.random.default_rng(13), levels_per_slice=0,
@@ -902,13 +914,13 @@ def test_fan_union_needs_a_level_per_slice():
 def test_fan_union_rejects_a_non_int_level_count(levels_per_slice):
     rng = np.random.default_rng(13)
     state = rng.bit_generator.state
-    with pytest.raises(sl.ValidationError, match="count must be an int >= 0"):
+    with pytest.raises(sl.ValidationError, match="levels_per_slice must be an int >= 1"):
         sl.fan_union_distribution(
             default_stream(), 4, 4, 10.0, SQUARE, make_initial(32), "exact_kernel", 2,
             rng, levels_per_slice=levels_per_slice,
         )
     # sampled mode seeds its sampler from rng, so the check must come first
-    with pytest.raises(sl.ValidationError, match="count must be an int >= 0"):
+    with pytest.raises(sl.ValidationError, match="levels_per_slice must be an int >= 1"):
         sl.fan_union_distribution(
             default_stream(), 4, 4, 10.0, SQUARE, make_initial(32), "sampled_at_Y", 2,
             rng, levels_per_slice=levels_per_slice, walks=1000, y=100.0,

@@ -195,6 +195,25 @@ def test_t_distribution_exact_rows_sum_to_one():
     assert exact[1] == Fraction(8, 9)
 
 
+def rank_share(r, i, t, p):
+    # The share of r x i matrices over F_p that have rank t: the count
+    # prod_{j<t} (p^r - p^j)(p^i - p^j) / (p^t - p^j) over all p^(ri).
+    count = Fraction(1)
+    for j in range(t):
+        count *= Fraction((p**r - p**j) * (p**i - p**j), p**t - p**j)
+    return count / p ** (r * i)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), r=st.integers(0, 7), i=st.sampled_from([1, 2]))
+def test_t_distribution_is_the_rank_law_of_uniform_matrices(p, r, i):
+    # The t-law at width i and rank r is the rank law of a uniform r x i
+    # matrix over F_p, a third route to K_i beside the closed form and
+    # the rank update.
+    row = sl.t_distribution(i, r, p, exact=True)
+    assert list(row) == [rank_share(r, i, t, p) for t in range(i + 1)]
+
+
 # One twist step (draw t, then update the rank) is drawn through
 # sample_transitions, the vectorized per-draw route.
 
@@ -311,7 +330,7 @@ def test_sampler_is_deterministic_and_cached():
     a = TStepSampler(2, y=20.0, seed=6)
     b = TStepSampler(2, y=20.0, seed=6)
     assert np.array_equal(a.row(2, 3), b.row(2, 3))
-    assert a.row(2, 3) is a.row(2, 3)
+    assert np.array_equal(a.row(2, 3), a.row(2, 3))
     c = TStepSampler(2, y=20.0, seed=7)
     assert not np.array_equal(a.row(2, 3), c.row(2, 3))
 
@@ -505,7 +524,8 @@ def test_sampler_rejects_a_composite_modulus():
 
 
 def numpy_build_row(sampler, i, r):
-    # TStepSampler._build_row as it was, in numpy small-array arithmetic.
+    # TStepSampler.row as it was, in numpy small-array arithmetic, with the
+    # perturbation size drawn by rng.uniform.
     row = _t_row(i, r, sampler.p)
     if sampler.y is None:
         return row
@@ -541,6 +561,6 @@ def numpy_build_row(sampler, i, r):
 )
 def test_build_row_matches_the_numpy_version(p, y, seed, i, r):
     sampler = TStepSampler(p, y, seed)
-    got = sampler._build_row(i, r)
+    got = sampler.row(i, r)
     assert got.dtype == np.float64 and got.shape == (i + 1,)
     assert got.tobytes() == numpy_build_row(sampler, i, r).tobytes()
