@@ -35,12 +35,22 @@ import argparse
 import json
 import sys
 import time
+from decimal import Context, Decimal
 
 import numpy as np
 
 from . import __version__
-from .distributions import Density, _parity_weighted, apply, l1_distance, make_density, rho_parity
-from .errors import SelmerLabError, ValidationError
+from .distributions import (
+    TOL_NORM,
+    Density,
+    _parity_weighted,
+    _validate_probability_vector,
+    apply,
+    l1_distance,
+    make_density,
+    rho_parity,
+)
+from .errors import SelmerLabError, TruncationMismatch, ValidationError
 from .lagrangian import (
     LagrangianParams,
     build_lagrangian,
@@ -54,7 +64,7 @@ from .disparity import (
     DisparityTable,
     LocalCharacter,
     LocalPlaceData,
-    _limit_values,
+    _limit_rows,
     _mean_rank,
     delta_global,
     delta_local,
@@ -62,6 +72,9 @@ from .disparity import (
     limit_distribution,
 )
 
+# iterate and avg-rank make their densities in blocks of at most this many
+# rows, so their memory does not grow with --steps or --grid.
+_BLOCK = 256
 _MODES = {"exact": "exact_kernel", "sampled": "sampled_at_Y"}
 _ORIENTATIONS = ("odd_heavy", "even_heavy")
 _SPEC_OPTIONAL = (
@@ -286,7 +299,13 @@ def _parse_initial(spec: str, N: int) -> Density:
         digits = spec[len("delta"):]
         if not digits.isdecimal():
             raise ValidationError(f"--initial delta<n> needs a rank n >= 0, got {spec!r}")
-        rank = int(digits)
+        # n is read against N as a Decimal, which holds any number of
+        # digits, so a rank past the window builds nothing.
+        rank = Decimal(digits)
+        if rank >= N:
+            length = Context(prec=len(digits) + 1).add(rank, 1)  # exact n + 1
+            raise TruncationMismatch(f"raw has length {length} > N = {N}")
+        rank = int(rank)
         values = [0.0] * (rank + 1)
         values[rank] = 1.0
         return make_density(values, N)
@@ -329,18 +348,30 @@ def cmd_iterate(args):
         raise ValidationError(f"--steps must be >= 0, got {args.steps}")
     params = LagrangianParams(args.p, args.N)
     f = _parse_initial(args.initial, args.N)
-    target = predicted_limit(f, "even", params)
-    operator = build_lagrangian(params)
-    distances = []
-    current = f
-    for _ in range(args.steps + 1):
-        distances.append(l1_distance(current, target))
-        current = apply(operator, apply(operator, current))
+    target = predicted_limit(f, "even", params).values
+    matrix = build_lagrangian(params).matrix
+    # steps + 1 double steps, each a half step and a full step, and each is
+    # checked by the rule apply checks it with, the last double step too,
+    # though the table never reads it.  A block holds up to _BLOCK of those
+    # densities: rows[0] is the start of its first double step, and
+    # rows[2j + 1], rows[2j + 2] are the j-th double step's half and full.
+    count = args.steps + 1
+    distances = np.empty(count)
+    rows = np.empty((_BLOCK + 1, args.N))
+    rows[0] = f.values
+    for first in range(0, count, _BLOCK // 2):
+        n = min(_BLOCK // 2, count - first)
+        for j in range(1, 2 * n + 1):
+            np.dot(rows[j - 1], matrix, out=rows[j])
+        _validate_probability_vector(rows[1 : 2 * n + 1], TOL_NORM, "density")
+        # l1_distance of each double step's start, row by row
+        distances[first : first + n] = np.abs(rows[: 2 * n : 2] - target).sum(axis=1)
+        rows[0] = rows[2 * n]
     payload = {
         "params": {"p": args.p, "N": args.N, "initial": args.initial, "steps": args.steps},
         "columns": ["step", "distance_to_limit"],
-        "table": [np.arange(args.steps + 1), np.array(distances)],
-        "footer": {"rho": rho_parity(f), "final_distance": distances[-1]},
+        "table": [np.arange(count), distances],
+        "footer": {"rho": rho_parity(f), "final_distance": float(distances[-1])},
     }
     return payload, 0
 
@@ -424,7 +455,7 @@ def cmd_disparity(args):
     limit = limit_distribution(delta, args.p, args.N, args.orientation)
     footer = {f"delta_v[{place.id}]": delta_local(place) for place in table.places}
     footer["delta"] = delta
-    footer["average_rank"] = _mean_rank(limit)
+    footer["average_rank"] = _mean_rank(limit.values)
     payload = {
         "params": {"p": args.p, "N": args.N, "orientation": args.orientation},
         "columns": ["n", "limit_mass"],
@@ -443,16 +474,20 @@ def cmd_avg_rank(args):
         raise ValidationError("the affine fit needs at least two distinct deltas")
     # c is computed once, so a bad p or N is reported before a bad delta.
     c = c_constants(LagrangianParams(args.p, args.N))
-    means = [_mean_rank(_limit_values(c, d, args.orientation)) for d in grid]
-    slope, intercept = np.polyfit(grid, means, 1)
+    # The grid's limits and then the one at 1/2, _BLOCK deltas at a time.
+    deltas = grid + [0.5]
+    means = []
+    for first in range(0, len(deltas), _BLOCK):
+        means += map(_mean_rank, _limit_rows(c, deltas[first : first + _BLOCK], args.orientation))
+    slope, intercept = np.polyfit(grid, means[:-1], 1)
     payload = {
         "params": {"p": args.p, "N": args.N, "orientation": args.orientation},
         "columns": ["delta", "mean_rank"],
-        "table": [np.array(grid, dtype=np.float64), np.array(means)],
+        "table": [np.array(grid, dtype=np.float64), np.array(means[:-1])],
         "footer": {
             "intercept": float(intercept),
             "slope": float(slope),
-            "value_at_half": _mean_rank(_limit_values(c, 0.5, args.orientation)),
+            "value_at_half": means[-1],
         },
     }
     return payload, 0

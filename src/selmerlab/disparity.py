@@ -33,7 +33,11 @@ import numpy as np
 
 from .distributions import (
     TOL_NORM,
+    TOL_TAIL,
     Density,
+    _freeze,
+    _parity_weighted,
+    _validate_probability_vector,
     apply,
     l1_distance,
     make_density,
@@ -46,7 +50,7 @@ from .errors import (
     ValidationError,
 )
 from .fans import ConvergenceRate, FanSpec, Mode, fan_collapse
-from .lagrangian import LagrangianParams, _mixture, build_lagrangian, c_constants
+from .lagrangian import LagrangianParams, build_lagrangian, c_constants
 from .twists import StreamConfig, synth_prime_stream
 
 __all__ = [
@@ -160,8 +164,8 @@ def initial_from_disparity(delta: float, support_cap: int) -> InitialPair:
     with the same parity masses has the same limits, which is what makes
     the choice harmless.
     """
-    if not abs(delta) <= 0.5:
-        raise DisparityOutOfRange(f"|delta| must be <= 1/2, got {delta}")
+    if not _inside([delta]):
+        raise _out_of_range(delta)
     e1_plus = make_density([0.5 + delta, 0.5 - delta], support_cap)
     e1_minus = make_density([0.5 - delta, 0.5 + delta], support_cap)
     return InitialPair(e1_plus, e1_minus)
@@ -192,13 +196,35 @@ def limit_distribution(
     return _limit_values(c_constants(LagrangianParams(p, N)), delta, orientation)
 
 
-def _limit_values(c: np.ndarray, delta: float, orientation: Orientation) -> Density:
-    # limit_distribution from given c_constants, for callers that tilt one c many times
-    if not abs(delta) <= 0.5:
-        raise DisparityOutOfRange(f"|delta| must be <= 1/2, got {delta}")
-    if orientation not in ("odd_heavy", "even_heavy"):
+def _inside(deltas) -> int:
+    # The one range rule for a disparity, |delta| <= 1/2, which NaN fails:
+    # how many of the deltas keep it before the first that does not.
+    return next((j for j, delta in enumerate(deltas) if not abs(delta) <= 0.5), len(deltas))
+
+
+def _out_of_range(delta) -> DisparityOutOfRange:
+    return DisparityOutOfRange(f"|delta| must be <= 1/2, got {delta}")
+
+
+def _limit_rows(c: np.ndarray, deltas: list, orientation: Orientation) -> np.ndarray:
+    # limit_distribution from given c_constants, one row per delta, for
+    # callers that tilt one c many times.  Checked as one call per delta
+    # would be: a delta's range, the orientation, then the delta's row, so
+    # the first bad delta raises.
+    good = _inside(deltas)
+    if good and orientation not in ("odd_heavy", "even_heavy"):
         raise ValidationError(f"unknown orientation {orientation!r}")
-    return _mixture(c, 0.5 + delta if orientation == "odd_heavy" else 0.5 - delta)
+    tilt = np.array(deltas[:good], dtype=np.float64)[:, None]
+    rows = _parity_weighted(c, 0.5 + tilt if orientation == "odd_heavy" else 0.5 - tilt)
+    _validate_probability_vector(rows, TOL_TAIL, "density")
+    if good < len(deltas):
+        raise _out_of_range(deltas[good])
+    return rows
+
+
+def _limit_values(c: np.ndarray, delta: float, orientation: Orientation) -> Density:
+    # limit_distribution from given c_constants
+    return Density(_freeze(_limit_rows(c, [delta], orientation)[0]))
 
 
 def average_rank(
@@ -209,11 +235,12 @@ def average_rank(
     Writing A and B for the even- and odd-rank sums of n * c_n, the
     odd_heavy value is (A + B)/2 + delta (B - A).
     """
-    return _mean_rank(limit_distribution(delta, p, N, orientation))
+    return _mean_rank(limit_distribution(delta, p, N, orientation).values)
 
 
-def _mean_rank(dist: Density) -> float:
-    return float(np.arange(dist.N) @ dist.as_float())
+def _mean_rank(values: np.ndarray) -> float:
+    # the mean rank of a float density's values
+    return float(np.arange(len(values)) @ values)
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,19 @@ def _coerce_vector(raw) -> np.ndarray:
 
 
 def _validate_probability_vector(values: np.ndarray, tol: float, what: str) -> None:
-    if not (values >= 0).all():  # NaN compares False; Fraction arrays compare too
-        raise NegativeEntry(f"{what} has a negative or NaN entry")
-    total = values.sum()
-    if not abs(float(total) - 1.0) <= tol:
-        raise NotNormalized(f"{what} sums to {float(total)!r}, not 1 within {tol}")
+    # The one probability-vector rule: no negative or NaN entry, and a sum
+    # within tol of 1.  A 2-D block is checked row by row, as a loop over
+    # its rows would be: the first bad row r raises, named by what.format(r).
+    # A row is contiguous, so its sum is the same float as the row's own.
+    positive = (values >= 0).all(axis=-1)  # NaN compares False; Fraction arrays compare too
+    totals = values.sum(axis=-1)
+    good = positive & (abs(totals - 1.0) <= tol)  # a Fraction total meets 1.0 as a float
+    if not good.all():
+        positive, totals, good = np.atleast_1d(positive, totals, good)
+        r = int(np.argmin(good))
+        if not positive[r]:
+            raise NegativeEntry(f"{what.format(r)} has a negative or NaN entry")
+        raise NotNormalized(f"{what.format(r)} sums to {float(totals[r])!r}, not 1 within {tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +179,7 @@ def make_operator(matrix) -> BandedOperator:
     matrix = np.array(matrix, dtype=object if _is_exact(np.asarray(matrix)) else float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise TruncationMismatch(f"operator matrix must be square, got {matrix.shape}")
-    for r in range(matrix.shape[0]):
-        _validate_probability_vector(matrix[r], TOL_NORM, f"operator row {r}")
+    _validate_probability_vector(matrix, TOL_NORM, "operator row {}")
     return BandedOperator(_freeze(matrix))
 
 
@@ -213,10 +220,11 @@ def project_parity(f: Density, side: Side) -> np.ndarray:
 
 def _parity_weighted(values: np.ndarray, odd_mass) -> np.ndarray:
     # A copy with even ranks scaled by 1 - odd_mass and odd ranks by
-    # odd_mass.  Integer weights 0 and 1 keep Fraction entries exact.
-    out = values.copy()
-    out[0::2] *= 1 - odd_mass
-    out[1::2] *= odd_mass
+    # odd_mass; a column of k odd masses gives k such rows.  Integer
+    # weights 0 and 1 keep Fraction entries exact.
+    out = np.empty(np.shape(odd_mass)[:-1] + values.shape, dtype=values.dtype)
+    np.multiply(values[0::2], 1 - odd_mass, out=out[..., 0::2])
+    np.multiply(values[1::2], odd_mass, out=out[..., 1::2])
     return out
 
 

@@ -277,11 +277,11 @@ def _subsets(groups: list[tuple[int, int, int]], rng: np.random.Generator) -> np
     u = np.zeros(len(x), dtype=np.uint64)
     todo = np.arange(len(x))
     while len(todo):
-        end = np.cumsum(width[todo])
-        buf = np.frombuffer(rng.bytes(int(end[-1])), dtype=np.uint8)
-        at = (end - width[todo])[:, None] + np.arange(8)
-        raw = np.where(at < end[:, None], buf[np.minimum(at, len(buf) - 1)], 0)
-        v = raw.astype(np.uint8).view("<u8")[:, 0]  # little-endian, zero-padded
+        w = width[todo]
+        raw = np.zeros((len(todo), 8), dtype=np.uint8)
+        # a row-major mask fills each row's first w bytes, in read order
+        raw[np.arange(8) < w[:, None]] = np.frombuffer(rng.bytes(int(w.sum())), dtype=np.uint8)
+        v = raw.view("<u8")[:, 0]  # little-endian, zero-padded
         keep = v <= last[todo]
         u[todo[keep]] = v[keep] % total[todo[keep]]
         todo = todo[~keep]
@@ -398,7 +398,9 @@ class Fan:
         row of the level's state (a, b) splits u's range into one segment
         per choice (x, y, w), of length comb(ones, x) comb(twos, y) w, and
         u's offset in its segment, taken mod w, is again uniform below the
-        next row's total.  The second batch gives each level the sites of
+        next row's total.  The last block's choice is forced, x = n1 - a
+        ones and y = n2 - b twos, so it is taken without a search.  The
+        second batch gives each level the sites of
         every block it takes from (Floyd), grouped by (block, width,
         number taken).  A batch of 32 subsets or more whose uniforms each
         read at most 8 bytes is decoded as arrays (:func:`_subsets`); a
@@ -420,16 +422,21 @@ class Fan:
             )
         rows = self._rows  # built for visited states only
         takes: dict[tuple[int, int, int], list[int]] = {}  # (block, width, n) -> levels
+        n1, n2 = self._pattern
+        last = len(self.blocks) - 1
         for j, u in enumerate(_uniforms([self.size] * count, rng)):
             a = b = 0
-            for i in range(len(self.blocks)):
-                row = rows.get((i, a, b))
-                if row is None:
-                    row = rows[(i, a, b)] = self._row(i, a, b)
-                cums, choices = row
-                k = bisect_right(cums, u)
-                x, y, weight = choices[k]
-                u = (u - (cums[k - 1] if k else 0)) % weight
+            for i in range(last + 1):
+                if i < last:
+                    row = rows.get((i, a, b))
+                    if row is None:
+                        row = rows[(i, a, b)] = self._row(i, a, b)
+                    cums, choices = row
+                    k = bisect_right(cums, u)
+                    x, y, weight = choices[k]
+                    u = (u - (cums[k - 1] if k else 0)) % weight
+                else:
+                    x, y = n1 - a, n2 - b  # the last block's one choice
                 if x:
                     takes.setdefault((i, 0, x), []).append(j)
                 if y:

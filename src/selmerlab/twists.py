@@ -41,6 +41,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -306,6 +307,10 @@ class TStepSampler:
         self.p = p
         self.y = y
         self.seed = seed
+        # The seed's little-endian uint32 words (0 is one word), the entropy
+        # default_rng([seed, i, r]) reads from its first entry.
+        seed = int(seed)
+        self._words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
 
     def _kernel(self, i: int, top: int, N: int) -> np.ndarray:
         # The sampled width-i kernel on window N: row r is the composed row
@@ -317,6 +322,12 @@ class TStepSampler:
                 kernel[r, target] += mass
         return kernel
 
+    def _rng(self, i: int, r: int) -> np.random.Generator:
+        # default_rng([seed, i, r]) built from its uint32 words: the same
+        # state, without numpy coercing a list of Python ints
+        words = np.array(self._words + [i, r], dtype=np.uint32)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
     def row(self, i: int, r: int) -> np.ndarray:
         # Python floats on two or three entries.  Every sum adds left to
         # right, the order numpy uses for so few entries, so a row is the
@@ -327,7 +338,7 @@ class TStepSampler:
         support = min(i, r) + 1  # t in 0..min(i, r)
         if support < 2:
             return row
-        rng = np.random.default_rng([self.seed, i, r])
+        rng = self._rng(i, r)
         direction = rng.normal(size=support).tolist()
         mean = sum(direction) / support
         direction = [d - mean for d in direction]
@@ -418,16 +429,20 @@ def _check_walks(walks, levels: int) -> None:
 def _marginals(rows, start: np.ndarray, kernel) -> np.ndarray:
     # One row per width row: start times kernel(w1) ... kernel(wm), the law
     # of a walk after that row.  Rows that share a prefix share its
-    # products, each one np.dot, so a row is the same floats as applying
-    # the kernels one at a time; the empty row gives start back.
-    products = {(): start}
-    keys = [tuple(row) for row in rows]
-    for key in keys:
-        if key not in products:
-            for n in range(len(key)):
-                if key[: n + 1] not in products:
-                    products[key[: n + 1]] = np.dot(products[key[:n]], kernel(key[n]))
-    return np.array([products[key] for key in keys])
+    # products, each one np.dot, kept in a trie keyed by width, so a row is
+    # the same floats as applying the kernels one at a time; the empty row
+    # gives start back.
+    trie = {}  # width -> (product, trie of the next width)
+    out = []
+    for row in rows:
+        law, children = start, trie
+        for i in row:
+            node = children.get(i)
+            if node is None:
+                node = children[i] = (np.dot(law, kernel(i)), {})
+            law, children = node
+        out.append(law)
+    return np.array(out)
 
 
 def _sampled_marginals(rows, initial: Density, sampler: TStepSampler) -> np.ndarray:
@@ -441,13 +456,17 @@ def _sampled_marginals(rows, initial: Density, sampler: TStepSampler) -> np.ndar
     start = initial.as_float()
     start = start / start.sum()
     top = int(np.flatnonzero(start)[-1])
-    reach = {}
-    for row in rows:
-        climb = top
-        for i in row:
-            reach[i] = max(reach.get(i, climb), climb)
-            climb += i
-    kernels = {i: sampler._kernel(i, min(r, N - 1), N) for i, r in reach.items()}
+    # The steps of all rows in one array: prefix[n] sums the widths before
+    # step n, and a row's own climb subtracts the earlier rows' part, read
+    # at the row's first step (an empty row reads and repeats nothing).
+    lengths = [len(row) for row in rows]
+    steps = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=sum(lengths))
+    prefix = np.concatenate(([0], np.cumsum(steps)))
+    climb = top + prefix[:-1] - np.repeat(prefix[np.cumsum(lengths) - lengths], lengths)
+    kernels = {
+        i: sampler._kernel(i, min(int(climb[steps == i].max()), N - 1), N)
+        for i in set(steps.tolist())
+    }
     return _marginals(rows, start, kernels.__getitem__)
 
 

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface via main()."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,11 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import selmerlab as sl
 from selmerlab import cli
+from selmerlab.lagrangian import _mixture
 
 
 def run(argv, capsys):
@@ -683,3 +686,167 @@ def test_one_call_json_splices_rows_among_quoted_keys():
     rendered = json.loads(cli._render_json(payload))
     assert rendered["rows"] == reference_round15(rows_of(table)) and rendered["params"]["initial"] == tricky
     assert list(rendered) == ["columns", "footer", "params", "rows", "summary", "zeta"]
+
+
+def main_text(argv):
+    # cli.main under hypothesis, which cannot share capsys between examples
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def reference_text(build, fmt):
+    # (exit code, artifact, error line) of a payload builder that raises as
+    # the CLI does
+    try:
+        payload = build()
+    except sl.SelmerLabError as exc:
+        return 1, "", f"error: {exc}"
+    return 0, cli._render_json(payload) if fmt == "json" else cli._render_csv(payload), ""
+
+
+def iterate_payload(p, N, initial, steps):
+    # cmd_iterate as one apply per half step and one l1_distance per row
+    params = sl.LagrangianParams(p, N)
+    f = cli._parse_initial(initial, N)
+    target = sl.predicted_limit(f, "even", params)
+    operator = sl.build_lagrangian(params)
+    distances, current = [], f
+    for _ in range(steps + 1):
+        distances.append(sl.l1_distance(current, target))
+        current = sl.apply(operator, sl.apply(operator, current))
+    return {
+        "params": {"p": p, "N": N, "initial": initial, "steps": steps},
+        "columns": ["step", "distance_to_limit"],
+        "table": [np.arange(steps + 1), np.array(distances)],
+        "footer": {"rho": sl.rho_parity(f), "final_distance": distances[-1]},
+    }
+
+
+# 1.0000000000009999 and 0.9999999999990001 sum to within 1e-12 of 1, but
+# the operator's rounding takes a later iterate past it.  From the first, at
+# p = 3, N = 64, the half step of double step 2 (the last one --steps 2
+# takes, whose row the table never reads) and at p = 2, N = 12 the full step
+# of double step 5; from the second, at p = 2, N = 12, the half step of
+# double step 14 alone, as the full step after it is back within 1e-12.
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    N=st.integers(2, 140),
+    steps=st.integers(0, 600),
+    initial=st.sampled_from(
+        ["delta0", "delta1", "delta3", "0.5,0.5", "0.1,0.2,0.3,0.4", "1.0000000000009999",
+         "0.9999999999990001"]
+    ),
+)
+@example(p=2, N=140, steps=600, initial="0.1,0.2,0.3,0.4")
+@example(p=3, N=129, steps=128, initial="delta1")
+@example(p=3, N=64, steps=2, initial="1.0000000000009999")
+@example(p=3, N=64, steps=1, initial="1.0000000000009999")
+@example(p=2, N=12, steps=5, initial="1.0000000000009999")
+@example(p=2, N=12, steps=4, initial="1.0000000000009999")
+@example(p=2, N=12, steps=14, initial="0.9999999999990001")
+@example(p=2, N=12, steps=13, initial="0.9999999999990001")
+def test_iterate_blocks_match_a_per_step_loop(p, N, steps, initial):
+    # the blocked M_L**2 loop writes the bytes of a loop that wraps and
+    # checks every half and full step, and fails where it fails
+    argv = ["iterate", "-p", str(p), "-N", str(N), "--steps", str(steps), "--initial", initial]
+    for fmt in ("json", "csv"):
+        code, out, err = main_text(argv + ["--format", fmt])
+        want = reference_text(lambda: iterate_payload(p, N, initial, steps), fmt)
+        assert (code, out, err.splitlines()[0] if code else "") == want
+
+
+def avg_rank_payload(p, N, grid, orientation):
+    # cmd_avg_rank as one checked density and one mean per delta
+    if len(set(grid)) < 2:
+        raise sl.ValidationError("the affine fit needs at least two distinct deltas")
+    c = sl.c_constants(sl.LagrangianParams(p, N))
+
+    def mean(delta):
+        if not abs(delta) <= 0.5:
+            raise sl.DisparityOutOfRange(f"|delta| must be <= 1/2, got {delta}")
+        limit = _mixture(c, 0.5 + delta if orientation == "odd_heavy" else 0.5 - delta)
+        return float(np.arange(N) @ limit.values)
+
+    means = [mean(delta) for delta in grid]
+    slope, intercept = np.polyfit(grid, means, 1)
+    return {
+        "params": {"p": p, "N": N, "orientation": orientation},
+        "columns": ["delta", "mean_rank"],
+        "table": [np.array(grid, dtype=np.float64), np.array(means)],
+        "footer": {
+            "intercept": float(intercept), "slope": float(slope), "value_at_half": mean(0.5),
+        },
+    }
+
+
+def delta_grids():
+    # Explicit deltas are multiples of 1/2000: np.polyfit cannot fit deltas
+    # below about 1e-154 (the sum of their squares underflows), which is no
+    # matter of how the limits are tilted.
+    explicit = st.lists(st.integers(-1000, 1000).map(lambda k: k / 2000), min_size=2, max_size=600)
+    return st.one_of(st.integers(2, 600), explicit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    N=st.sampled_from([2, 4, 12, 64, 140]),
+    grid=delta_grids(),
+    orientation=st.sampled_from(["odd_heavy", "even_heavy"]),
+    bad=st.none() | st.tuples(st.sampled_from([0.7, -0.6, math.nan, math.inf]), st.floats(0, 1)),
+)
+@example(p=2, N=64, grid=600, orientation="odd_heavy", bad=None)
+@example(p=3, N=140, grid=[k / 2000 for k in range(-300, 300)], orientation="even_heavy", bad=None)
+@example(p=2, N=64, grid=[0.0, 0.1] * 200, orientation="odd_heavy", bad=(0.7, 0.5))
+@example(p=2, N=64, grid=[0.0, 0.1] * 200, orientation="even_heavy", bad=(math.nan, 0.9))
+@example(p=2, N=4, grid=[0.0, 0.1] * 200, orientation="odd_heavy", bad=(0.7, 0.9))
+@example(p=2, N=4, grid=[0.0, 0.1], orientation="odd_heavy", bad=(0.7, 0.9))
+def test_avg_rank_blocks_match_a_per_delta_loop(p, N, grid, orientation, bad):
+    # the grid tilted a block at a time writes the bytes of one checked
+    # density per delta, and a bad delta (or density) fails as the first
+    # one would
+    if isinstance(grid, int):
+        argv, deltas = ["--grid", str(grid)], list(np.linspace(-0.5, 0.5, grid))
+    else:
+        deltas = list(grid)
+        if bad is not None:
+            deltas.insert(int(bad[1] * len(deltas)), bad[0])
+        argv = ["--deltas=" + ",".join(repr(float(d)) for d in deltas)]
+    argv = ["avg-rank", "-p", str(p), "-N", str(N), "--orientation", orientation] + argv
+    for fmt in ("json", "csv"):
+        code, out, err = main_text(argv + ["--format", fmt])
+        want = reference_text(lambda: avg_rank_payload(p, N, deltas, orientation), fmt)
+        assert (code, out, err.splitlines()[0] if code else "") == want
+
+
+def test_avg_rank_names_the_first_bad_delta(capsys):
+    for deltas, shown in (("0,0.7", "0.7"), ("0,0.2,nan,0.7", "nan"), ("0.1,-0.6,0.9", "-0.6")):
+        code, out, err = run(["avg-rank", f"--deltas={deltas}"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: |delta| must be <= 1/2, got {shown}\n"
+
+
+def test_iterate_delta_past_the_window_builds_nothing(capsys, monkeypatch):
+    # a rank n >= N is reported from its digits, before any list is built
+    def build(*args):
+        raise AssertionError("make_density was called")
+
+    monkeypatch.setattr(cli, "make_density", build)
+    code, out, err = run(["iterate", "--initial", "delta3000000"], capsys)
+    assert (code, out, err) == (1, "", "error: raw has length 3000001 > N = 64\n")
+    code, out, err = run(["iterate", "-N", "12", "--initial", "delta0012"], capsys)
+    assert (code, out, err) == (1, "", "error: raw has length 13 > N = 12\n")
+
+
+def test_iterate_delta_with_thousands_of_digits_exits_one(capsys):
+    # more digits than int() reads by default (4300), still exit 1 with
+    # the window message
+    code, out, err = run(["iterate", "--initial", "delta" + "9" * 5000], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: raw has length 1" + "0" * 5000 + " > N = 64\n"
+    leading_zeros = "delta" + "0" * 5000 + "1"
+    code, out, err = run(["iterate", "--initial", leading_zeros, "--steps", "1"], capsys)
+    assert code == 0 and err.startswith("{")

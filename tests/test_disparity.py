@@ -15,6 +15,7 @@ from selmerlab.disparity import (
     InitialPair,
     LocalCharacter,
     LocalPlaceData,
+    _limit_rows,
     _limit_values,
     _mean_rank,
 )
@@ -254,14 +255,17 @@ def test_average_rank_from_parity_sums(p, delta):
     deltas=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4),
 )
 def test_one_c_for_many_deltas_matches_the_public_functions(p, N, orientation, deltas):
-    # the CLI computes c once and tilts it for every delta; each tilt
-    # must be bit-identical to a fresh public call and leave c untouched
+    # the CLI computes c once and tilts it for a block of deltas at once;
+    # each tilt must be bit-identical to a fresh public call and leave c
+    # untouched
     c = sl.c_constants(sl.LagrangianParams(p, N))
     before = c.copy()
-    for delta in deltas:
+    rows = _limit_rows(c, deltas, orientation)
+    for delta, row in zip(deltas, rows, strict=True):
         dist = _limit_values(c, delta, orientation)
         assert np.array_equal(dist.values, sl.limit_distribution(delta, p, N, orientation).values)
-        assert _mean_rank(dist) == sl.average_rank(delta, p, N, orientation)
+        assert np.array_equal(row, dist.values)
+        assert _mean_rank(row) == sl.average_rank(delta, p, N, orientation)
     assert np.array_equal(c, before)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selmerlab as sl
+from selmerlab.distributions import _validate_probability_vector
 
 
 P2 = sl.LagrangianParams(2, 64)
@@ -227,3 +228,29 @@ def test_apply_is_affine_on_mixtures():
     lhs = sl.apply(M, mix).values
     rhs = a * sl.apply(M, f).values + (1 - a) * sl.apply(M, g).values
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad, error, text", [
+    ([0.5, -0.25, 0.75], sl.NegativeEntry, "row 2 has a negative or NaN entry"),
+    ([0.5, np.nan, 0.5], sl.NegativeEntry, "row 2 has a negative or NaN entry"),
+    ([0.5, 0.25, 0.25 + 2e-12], sl.NotNormalized,
+     "row 2 sums to 1.000000000002, not 1 within 1e-12"),
+])
+def test_block_check_names_the_first_bad_row(bad, error, text):
+    # a 2-D block is checked as a loop over its rows would check it: the
+    # first bad row raises its own error, whatever the later rows hold
+    block = np.full((6, 3), 1.0 / 3.0)
+    block[2] = bad
+    block[4] = [2.0, -1.0, 0.0]
+    block[5] = [0.5, 0.5, 0.5]
+    with pytest.raises(error) as info:
+        _validate_probability_vector(block, sl.TOL_NORM, "row {}")
+    assert str(info.value) == text
+    with pytest.raises(error) as info:
+        _validate_probability_vector(block[2], sl.TOL_NORM, "row 2")
+    assert str(info.value) == text
+    _validate_probability_vector(block[:2], sl.TOL_NORM, "row {}")
+    _validate_probability_vector(block[:0], sl.TOL_NORM, "row {}")
+    with pytest.raises(error) as info:
+        sl.make_operator(block[:3, :3])
+    assert str(info.value) == "operator " + text

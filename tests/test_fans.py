@@ -1,6 +1,7 @@
 """Tests for stratification bounds, level sampling, and fan averaging."""
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from itertools import combinations
 
@@ -938,3 +939,51 @@ def test_step_average_gap_within_bound():
         )
         assert bound == pytest.approx((4 + 1) / 50.0)
         assert measured <= bound + 4.0 * mc
+
+
+def full_walk_draw(fan, count, rng):
+    # Fan.draw with every block's row searched, the last block's included;
+    # that row always holds one choice, the rest of the pattern
+    takes = {}
+    for j, u in enumerate(_uniforms([fan.size] * count, rng)):
+        a = b = 0
+        for i in range(len(fan.blocks)):
+            cums, choices = fan._row(i, a, b)
+            if i == len(fan.blocks) - 1:
+                n1, n2 = fan._pattern
+                assert [(x, y) for x, y, _ in choices] == [(n1 - a, n2 - b)]
+            k = bisect_right(cums, u)
+            x, y, weight = choices[k]
+            u = (u - (cums[k - 1] if k else 0)) % weight
+            if x:
+                takes.setdefault((i, 0, x), []).append(j)
+            if y:
+                takes.setdefault((i, 1, y), []).append(j)
+            a, b = a + x, b + y
+    held = _subsets([(len(fan.blocks[i][w]), n, len(js)) for (i, w, n), js in takes.items()], rng)
+    start = np.repeat(np.array([fan._starts[i][w] for i, w, _ in takes], dtype=np.intp),
+                      [len(js) for js in takes.values()])
+    level = np.array([j for js in takes.values() for j in js], dtype=np.intp)
+    rows, cols = np.nonzero(held >= 0)
+    sites = fan._sites[start[rows] + held[rows, cols]]
+    return sites[np.lexsort((sites, level[rows]))].reshape(count, fan.spec.m)
+
+
+@pytest.mark.parametrize("m, k, X, stream_X, blocks", [
+    (0, 0, 10.0, 2000.0, 0),
+    (1, 1, 10.0, 2000.0, 1),
+    (1, 2, 3.0, 2000.0, 1),
+    (2, 3, 10.0, 2000.0, 2),
+    (6, 9, 10.0, 2e4, 3),
+    (4, 6, 2.0, 2e4, 4),
+    (20, 40, 10.0, 2000.0, 2),  # criterion 10's fan
+])
+def test_draw_takes_the_last_block_without_a_search(m, k, X, stream_X, blocks):
+    # the forced last block gives the sites and the generator state of the
+    # full per-block walk
+    fan = Fan(default_stream(stream_X), FanSpec.from_rate(SQUARE, m, k, X))
+    assert len(fan.blocks) == blocks and fan.size
+    for count in (0, 1, 31, 200):
+        a, b = np.random.default_rng([m, count]), np.random.default_rng([m, count])
+        assert np.array_equal(fan.draw(count, a), full_walk_draw(fan, count, b))
+        assert a.bit_generator.state == b.bit_generator.state

@@ -564,3 +564,15 @@ def test_build_row_matches_the_numpy_version(p, y, seed, i, r):
     got = sampler.row(i, r)
     assert got.dtype == np.float64 and got.shape == (i + 1,)
     assert got.tobytes() == numpy_build_row(sampler, i, r).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**62 - 1])
+def test_sampler_seeds_rows_as_default_rng_does(seed):
+    # a row's generator, built from the seed's uint32 words, has the state
+    # default_rng([seed, i, r]) has, and the row is the numpy version's
+    sampler = TStepSampler(3, 7.0, seed)
+    for i in (1, 2):
+        for r in (0, 1, 2, 9):
+            state = np.random.default_rng([seed, i, r]).bit_generator.state
+            assert sampler._rng(i, r).bit_generator.state == state
+            assert sampler.row(i, r).tobytes() == numpy_build_row(sampler, i, r).tobytes()
