@@ -472,6 +472,10 @@ def cmd_avg_rank(args):
         grid = list(np.linspace(-0.5, 0.5, max(args.grid, 0)))
     if len(set(grid)) < 2:
         raise ValidationError("the affine fit needs at least two distinct deltas")
+    # np.polyfit divides the delta column by its norm, which is 0 when every
+    # delta's square underflows (all |delta| below about 1.5e-162).
+    if not any(delta * delta for delta in grid):
+        raise ValidationError("the affine fit needs a delta whose square is nonzero in float64")
     # c is computed once, so a bad p or N is reported before a bad delta.
     c = c_constants(LagrangianParams(args.p, args.N))
     # The grid's limits and then the one at 1/2, _BLOCK deltas at a time.

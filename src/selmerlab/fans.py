@@ -60,12 +60,10 @@ from .twists import (
     PrimeSite,
     PrimeStream,
     TStepSampler,
-    _check_cutoff,
-    _check_walks,
+    _check_run,
     _marginals,
     _walk_average,
     exact_step_kernel,
-    simulate_walks,
 )
 
 __all__ = [
@@ -556,40 +554,23 @@ def fan_distribution(
     under the sampled kernels, so one multinomial call on ``rng``, one
     row per level, draws every level.
     """
+    if not levels:
+        raise EmptyFan("fan average over an empty list of levels")
+    _check_run(mode, p, initial.N, walks, len(levels), None, rng)
     rows = [[site.width for site in level.sites] for level in levels]
     return _fan_average(rows, initial, mode, p, rng, walks, None)
 
 
 def _fan_average(rows, initial, mode, p, rng, walks, sampler) -> Density:
     # fan_distribution of levels given as width rows in norm order: the one
-    # mode dispatch.  The mean of one exact row is that row, bit for bit.
-    if not rows:
-        raise EmptyFan("fan average over an empty list of levels")
-    _check_mode(mode)
+    # mode dispatch, unchecked: each run's entry has called _check_run.  The
+    # mean of one exact row is that row, bit for bit.
     if mode == "exact_kernel":
         # A fan repeats few width sequences, and fewer prefixes of them.
         N = initial.N
         levels = _marginals(rows, initial.values, lambda i: _cached_kernel(i, p, N).matrix)
         return _density_unchecked(np.mean(levels, axis=0))
-    if rng is None:
-        raise ValidationError("sampled mode needs an rng")
     return _walk_average(rows, initial, p, walks, rng, sampler)
-
-
-def _check_mode(mode) -> None:
-    if mode not in ("exact_kernel", "sampled_at_Y"):
-        raise ValidationError(f"unknown mode {mode!r}")
-
-
-def _check_run(mode, p: int, N: int, walks, levels: int, y: float | None) -> None:
-    # Everything a fan run rejects, checked before its first rng read: the
-    # mode, a prime p and a window N >= 2 (the LagrangianParams rules), and
-    # in sampled mode a walk per level and the sampler's cutoff.
-    _check_mode(mode)
-    LagrangianParams(p, N)
-    if mode == "sampled_at_Y":
-        _check_walks(walks, levels)
-        _check_cutoff(y)
 
 
 def _seeded_sampler(p: int, y: float | None, rng: np.random.Generator) -> TStepSampler:
@@ -619,7 +600,7 @@ def fan_collapse(
     rejected call leaves it as it was.
     """
     _check_count(levels, "levels", 1)
-    _check_run(mode, p, initial.N, walks, levels, y)
+    _check_run(mode, p, initial.N, walks, levels, y, rng)
     fan = _fan_of(stream, spec)
     rows = fan.widths[fan.draw(levels, rng)].tolist()
     sampler = _seeded_sampler(p, y, rng) if mode == "sampled_at_Y" else None
@@ -706,7 +687,7 @@ def fan_union_distribution(
     if not slices:
         raise EmptyFan(f"no feasible fan slice for k = {k} with m <= {m_max}")
     # each slice runs walks // len(slices) walks
-    _check_run(mode, p, initial.N, walks, levels_per_slice * len(slices), y)
+    _check_run(mode, p, initial.N, walks, levels_per_slice * len(slices), y, rng)
     sampler = _seeded_sampler(p, y, rng) if mode == "sampled_at_Y" else None
     rows = [fan.widths[fan.draw(levels_per_slice, rng)].tolist() for fan in slices]
     union_size = sum(fan.size for fan in slices)
@@ -737,11 +718,11 @@ def step_average_gap(
     support, and mc_halfwidth is the summed per-cell binomial standard
     error of the Monte Carlo estimate.
     """
-    _check_run("sampled_at_Y", p, initial.N, walks, 1, y)
-    base = level_rank_distribution(level, initial, "exact_kernel", p)
+    _check_run("sampled_at_Y", p, initial.N, walks, 1, y, rng)
+    base = _fan_average([[s.width for s in level.sites]], initial, "exact_kernel", p, rng, 0, None)
     target = apply(_cached_power(p, initial.N, i), base)
     sampler = _seeded_sampler(p, y, rng)
-    empirical = simulate_walks([i], base, p, walks, rng, sampler)
+    empirical = _walk_average([[i]], base, p, walks, rng, sampler)
     b = int(np.nonzero(base.as_float())[0].max())
     bias_bound = (b + 1) / y
     t = target.as_float()

@@ -52,7 +52,7 @@ from .distributions import (
     _freeze,
 )
 from .errors import DegenerateConfig, InvalidPrime, ValidationError
-from .lagrangian import _check_window, _is_prime
+from .lagrangian import LagrangianParams, _check_window, _is_prime
 
 __all__ = [
     "S3_WIDTH_DENSITIES",
@@ -414,16 +414,39 @@ def simulate_walks(
     on the window and the widths, not on W.
 
     This is the one-level case of a sampled fan; see :func:`_walk_average`.
+    A rejected call (:func:`_check_run`, the sampler's p) leaves ``rng`` as it was.
     """
+    _check_run("sampled_at_Y", p, initial.N, walks, 1, None, rng)
+    if sampler is not None and sampler.p != p:
+        raise ValidationError(f"sampler is for p = {sampler.p}, walks are for p = {p}")
     return _walk_average([widths], initial, p, walks, rng, sampler)
 
 
 def _check_walks(walks, levels: int) -> None:
-    # A sampled run's walk budget: a non-bool int, with a walk per level.
+    # A sampled run's walk budget: a non-bool int, with a walk per level and
+    # no more per level than an int64 holds, the count multinomial takes.
     if isinstance(walks, bool) or not isinstance(walks, numbers.Integral):
         raise ValidationError(f"walks must be an int, got {walks!r}")
     if walks < levels:
         raise ValidationError(f"need a walk per level, got {walks} for {levels} levels")
+    if walks // levels > 2**63 - 1:
+        raise ValidationError(f"need at most 2**63 - 1 walks per level, got {walks // levels}")
+
+
+def _check_run(mode, p: int, N: int, walks, levels: int, y: float | None, rng) -> None:
+    # Everything a fan or walk run rejects, checked once by each public entry
+    # before its first rng read: the mode, a prime p and a window N >= 2 (the
+    # LagrangianParams rules), and in sampled mode an rng, a walk per level
+    # and the sampler's cutoff.  The cores, fans._fan_average and
+    # _walk_average, check nothing.
+    if mode not in ("exact_kernel", "sampled_at_Y"):
+        raise ValidationError(f"unknown mode {mode!r}")
+    LagrangianParams(p, N)
+    if mode == "sampled_at_Y":
+        if rng is None:
+            raise ValidationError("sampled mode needs an rng")
+        _check_walks(walks, levels)
+        _check_cutoff(y)
 
 
 def _marginals(rows, start: np.ndarray, kernel) -> np.ndarray:
@@ -475,13 +498,9 @@ def _walk_average(rows, initial, p, walks, rng, sampler) -> Density:
     # the mean of the level histograms.  Given the sampler, the walks of a
     # level are i.i.d. chains, so its histogram is Multinomial(walks //
     # len(rows), E_j) for its marginal E_j, and one multinomial call with
-    # one pvals row per level draws them all.  Every check comes before
-    # that call, the one read of rng.
-    _check_window(initial.N)
-    _check_walks(walks, len(rows))
+    # one pvals row per level draws them all.  That call, the one read of
+    # rng, follows the run entry's _check_run; nothing is checked here.
     sampler = sampler or TStepSampler(p)
-    if sampler.p != p:
-        raise ValidationError(f"sampler is for p = {sampler.p}, walks are for p = {p}")
     per_level = walks // len(rows)
     counts = rng.multinomial(per_level, _sampled_marginals(rows, initial, sampler))
     return _density_unchecked(np.mean(counts / per_level, axis=0))

@@ -405,6 +405,32 @@ def test_avg_rank_negative_first_delta_with_equals(capsys):
     assert [row[0] for row in json.loads(out)["rows"]] == [-0.5, 0.0, 0.5]
 
 
+@pytest.mark.parametrize("deltas", ["0,1e-162", "0,1e-200", "1e-300,2e-300"])
+def test_avg_rank_rejects_a_grid_whose_squares_underflow(deltas, capsys):
+    # np.polyfit scales the delta column by its norm, 0 here, and used to
+    # die in its least-squares solve with a LinAlgError traceback
+    code, out, err = run(["avg-rank", f"--deltas={deltas}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: the affine fit needs a delta whose square is nonzero in float64\n"
+
+
+def test_avg_rank_fits_the_smallest_grids_it_can_scale(capsys):
+    # 1e-160 squared is subnormal but not 0, so the fit runs
+    code, out, err = run(["avg-rank", "--format", "json", "--deltas=0,1e-160"], capsys)
+    assert code == 0
+    assert json.loads(out)["footer"]["slope"] == pytest.approx(-4.04848346492236e144)
+
+
+def test_fans_walks_past_int64_per_level_exit_one(tmp_path, capsys):
+    # 10**30 walks over 3 levels used to overflow inside rng.multinomial
+    spec = fans_spec(tmp_path, mode="sampled", levels=3, walks=10**30, Y=100.0)
+    code, out, err = run(["fans", spec], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: need at most 2**63 - 1 walks per level, got {10**30 // 3}\n"
+
+
 def test_out_file_and_determinism(tmp_path, capsys):
     spec = fans_spec(tmp_path, mode="sampled", walks=4000, Y=200.0, seed=9)
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,6 +1,7 @@
 """Tests for stratification bounds, level sampling, and fan averaging."""
 
 import math
+import re
 from bisect import bisect_right
 from collections import Counter
 from itertools import combinations
@@ -484,12 +485,20 @@ def test_level_rank_distribution_sampled_close_to_exact():
 
 
 def test_level_rank_distribution_validation():
-    # the one-level fan_distribution, so these are _fan_average's raises
+    # the one-level fan_distribution, so these are its _check_run's raises
     init = make_initial()
     with pytest.raises(sl.ValidationError, match="sampled mode needs an rng"):
         sl.level_rank_distribution(make_level(()), init, "sampled_at_Y", 2)
     with pytest.raises(sl.ValidationError, match="unknown mode 'monte_carlo'"):
         sl.level_rank_distribution(make_level(()), init, "monte_carlo", 2)
+
+
+def test_exact_fan_checks_p_and_N_without_building_a_kernel():
+    # an empty level builds no kernel, and used to return the start law
+    with pytest.raises(sl.InvalidPrime, match="p = 4 is not prime"):
+        sl.level_rank_distribution(make_level(()), make_initial(), "exact_kernel", 4)
+    with pytest.raises(sl.ValidationError, match="N must be >= 2, got 1"):
+        sl.level_rank_distribution(make_level(()), sl.make_density([1.0], 1), "exact_kernel", 2)
 
 
 def test_fan_distribution_exact_is_slotwise_mean():
@@ -786,41 +795,119 @@ def test_rejected_walk_count_leaves_the_rng_untouched():
 
 SPEC_23 = FanSpec.from_rate(SQUARE, 2, 3, 10.0)
 SAMPLED = {"walks": 1000, "y": 100.0}
+LEVEL = make_level([site(1, 3.0, 1)])
+
+# Each public run entry as a call of (stream, initial, rng, mode, p, walks,
+# y) that drops what it has no parameter for.  The fan entries run 3
+# levels; level_rank_distribution, step_average_gap and simulate_walks, 1.
+RUN_ENTRIES = {
+    "fan_collapse": lambda stream, init, rng, mode, p, walks, y: sl.fan_collapse(
+        SPEC_23, stream, init, mode, p, rng, levels=3, walks=walks, y=y),
+    "fan_union_distribution": lambda stream, init, rng, mode, p, walks, y: (
+        sl.fan_union_distribution(stream, 4, 4, 10.0, SQUARE, init, mode, p, rng,
+                                  levels_per_slice=1, walks=walks, y=y)),
+    "fan_distribution": lambda stream, init, rng, mode, p, walks, y: sl.fan_distribution(
+        [LEVEL] * 3, init, mode, p, rng, walks=walks),
+    "level_rank_distribution": lambda stream, init, rng, mode, p, walks, y: (
+        sl.level_rank_distribution(LEVEL, init, mode, p, rng, walks=walks)),
+    "mixture_bound_check": lambda stream, init, rng, mode, p, walks, y: sl.mixture_bound_check(
+        [LEVEL], [LEVEL] * 2, init, p),
+    "step_average_gap": lambda stream, init, rng, mode, p, walks, y: sl.step_average_gap(
+        LEVEL, 1, init, p, y, rng, walks=walks),
+    "simulate_walks": lambda stream, init, rng, mode, p, walks, y: sl.simulate_walks(
+        [1, 2], init, p, walks, rng),
+}
+# One fault each, as a change to a valid sampled call: its error class and
+# text, and the entries that take the faulty input.
+WINDOW = tuple(RUN_ENTRIES)  # every entry takes p and a window N
+WALKS = tuple(name for name in WINDOW if name != "mixture_bound_check")
+LEVELS = ("fan_distribution", "level_rank_distribution")  # an optional rng
+MODE = ("fan_collapse", "fan_union_distribution", *LEVELS)
+RUN_FAULTS = [
+    ("mode", {"mode": "bogus"}, sl.ValidationError, "unknown mode 'bogus'", MODE),
+    ("p", {"p": 4}, sl.InvalidPrime, "p = 4 is not prime", WINDOW),
+    ("N", {"init": sl.make_density([1.0], 1)}, sl.ValidationError, "N must be >= 2, got 1",
+     WINDOW),
+    ("no-rng", {"rng": None}, sl.ValidationError, "sampled mode needs an rng", LEVELS),
+    ("walks-float", {"walks": 10.5}, sl.ValidationError, "walks must be an int, got 10.5",
+     WALKS),
+    ("walks-few", {"walks": 0}, sl.ValidationError, "need a walk per level, got 0 for", WALKS),
+    ("y", {"y": 1.0}, sl.ValidationError, "cutoff y must be >= 2, got 1.0",
+     ("fan_collapse", "fan_union_distribution", "step_average_gap")),
+    ("walk-bound", {"walks": 10**30}, sl.ValidationError,
+     "need at most 2**63 - 1 walks per level", WALKS),
+]
+
+
+def run_entry(entry, stream, **args):
+    return RUN_ENTRIES[entry](stream, **{"mode": "sampled_at_Y", "p": 2, **SAMPLED, **args})
+
+
+def fault_case(entry, name, change, error, message):
+    def call(stream, init, rng):
+        return run_entry(entry, stream, **{"init": init, "rng": rng, **change})
+    return pytest.param(error, message, call, id=f"{entry}-{name}")
 
 
 @pytest.mark.parametrize("error, message, call", [
-    (sl.ValidationError, "unknown mode 'bogus'", lambda stream, init, rng: sl.fan_collapse(
-        SPEC_23, stream, init, "bogus", 2, rng, levels=3)),
-    (sl.InvalidPrime, "p = 4", lambda stream, init, rng: sl.fan_collapse(
-        SPEC_23, stream, init, "exact_kernel", 4, rng, levels=3)),
-    (sl.InvalidPrime, "p = 4", lambda stream, init, rng: sl.fan_collapse(
-        SPEC_23, stream, init, "sampled_at_Y", 4, rng, levels=3, **SAMPLED)),
-    (sl.ValidationError, "cutoff y", lambda stream, init, rng: sl.fan_collapse(
-        SPEC_23, stream, init, "sampled_at_Y", 2, rng, levels=3, walks=1000, y=1.0)),
-    (sl.ValidationError, "N must be >= 2", lambda stream, init, rng: sl.fan_collapse(
-        SPEC_23, stream, sl.make_density([1.0], 1), "exact_kernel", 2, rng, levels=3)),
-    (sl.ValidationError, "unknown mode 'bogus'", lambda stream, init, rng: (
-        sl.fan_union_distribution(stream, 4, 4, 10.0, SQUARE, init, "bogus", 2, rng))),
-    (sl.ValidationError, "cutoff y", lambda stream, init, rng: sl.fan_union_distribution(
-        stream, 4, 4, 10.0, SQUARE, init, "sampled_at_Y", 2, rng, walks=1000, y=1.0)),
-    (sl.ValidationError, "cutoff y", lambda stream, init, rng: sl.step_average_gap(
-        make_level([site(1, 3.0, 1)]), 1, init, 2, 1.0, rng)),
-    (sl.ValidationError, "walk per level", lambda stream, init, rng: sl.step_average_gap(
-        make_level([site(1, 3.0, 1)]), 1, init, 2, 100.0, rng, walks=0)),
-], ids=["mode", "p-exact", "p-sampled", "y", "N", "union-mode", "union-y", "step-y", "step-walks"])
+    pytest.param(sl.ValidationError, "unknown mode 'bogus'", lambda stream, init, rng: (
+        sl.fan_collapse(SPEC_23, stream, init, "bogus", 2, rng, levels=3)), id="mode"),
+    pytest.param(sl.InvalidPrime, "p = 4", lambda stream, init, rng: sl.fan_collapse(
+        SPEC_23, stream, init, "exact_kernel", 4, rng, levels=3), id="p-exact"),
+    pytest.param(sl.InvalidPrime, "p = 4", lambda stream, init, rng: sl.fan_collapse(
+        SPEC_23, stream, init, "sampled_at_Y", 4, rng, levels=3, **SAMPLED), id="p-sampled"),
+    pytest.param(sl.ValidationError, "cutoff y", lambda stream, init, rng: sl.fan_collapse(
+        SPEC_23, stream, init, "sampled_at_Y", 2, rng, levels=3, walks=1000, y=1.0), id="y"),
+    pytest.param(sl.ValidationError, "N must be >= 2", lambda stream, init, rng: sl.fan_collapse(
+        SPEC_23, stream, sl.make_density([1.0], 1), "exact_kernel", 2, rng, levels=3), id="N"),
+    pytest.param(sl.ValidationError, "unknown mode 'bogus'", lambda stream, init, rng: (
+        sl.fan_union_distribution(stream, 4, 4, 10.0, SQUARE, init, "bogus", 2, rng)),
+        id="union-mode"),
+    pytest.param(sl.ValidationError, "cutoff y", lambda stream, init, rng: (
+        sl.fan_union_distribution(stream, 4, 4, 10.0, SQUARE, init, "sampled_at_Y", 2, rng,
+                                  walks=1000, y=1.0)), id="union-y"),
+    pytest.param(sl.ValidationError, "cutoff y", lambda stream, init, rng: sl.step_average_gap(
+        LEVEL, 1, init, 2, 1.0, rng), id="step-y"),
+    pytest.param(sl.ValidationError, "walk per level", lambda stream, init, rng: (
+        sl.step_average_gap(LEVEL, 1, init, 2, 100.0, rng, walks=0)), id="step-walks"),
+    *(fault_case(entry, name, change, error, message)
+      for name, change, error, message, entries in RUN_FAULTS for entry in entries),
+])
 def test_rejected_fan_call_leaves_the_rng_untouched(error, message, call):
-    # mode, p, the window N, the walks and y are checked before the first
-    # read of rng: Fan.draw's bytes, the sampler's seed or the walks
+    # mode, p, the window N, the rng, the walks and y are checked at each run
+    # entry before the first read of rng: Fan.draw's bytes, the sampler's
+    # seed or the walks
     stream, init = default_stream(), make_initial(32)
     rng = np.random.default_rng(23)
     state = rng.bit_generator.state
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=re.escape(message)):
         call(stream, init, rng)
     assert rng.bit_generator.state == state
     assert rng.bit_generator.seed_seq.n_children_spawned == 0
     # the same calls, made valid, read it
     sl.fan_collapse(SPEC_23, stream, init, "sampled_at_Y", 2, rng, levels=3, **SAMPLED)
     assert rng.bit_generator.state != state
+
+
+@pytest.mark.parametrize(
+    "entry", ["fan_collapse", "fan_union_distribution", "step_average_gap", "simulate_walks"]
+)
+def test_a_sampled_run_without_an_rng_is_a_validation_error(entry):
+    # these used to fail with an AttributeError at their first read of rng
+    with pytest.raises(sl.ValidationError, match="sampled mode needs an rng"):
+        run_entry(entry, default_stream(), init=make_initial(32), rng=None)
+
+
+def test_walks_per_level_are_bounded_by_int64():
+    # 2**63 walks over 3 levels is 3.07e18 a level, which rng.multinomial
+    # takes; one level of 2**63 walks is one past the bound
+    stream, init, rng = default_stream(), make_initial(32), np.random.default_rng(24)
+    fan, _ = sl.fan_collapse(SPEC_23, stream, init, "sampled_at_Y", 2, rng, levels=3,
+                             walks=2**63, y=100.0)
+    assert fan.values.sum() == pytest.approx(1.0)
+    assert sl.simulate_walks([1], init, 2, 2**63 - 1, rng).values.sum() == pytest.approx(1.0)
+    with pytest.raises(sl.ValidationError, match=re.escape("at most 2**63 - 1 walks per level")):
+        sl.simulate_walks([1], init, 2, 2**63, rng)
 
 
 def test_fan_collapse_residual_sampled_is_small():
