@@ -25,8 +25,8 @@ All JSON input (the ``fans`` spec, disparity tables, ``--initial @file``)
 is read here, by one object reader and one number reader; the library
 modules take typed values only.
 
-Exit codes: 0 success, 1 validation error, 2 numeric threshold
-exceeded, 3 I/O error.
+Exit codes: 0 success, 1 validation error or out of memory, 2 numeric
+threshold exceeded, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from .disparity import (
     DisparityTable,
     LocalCharacter,
     LocalPlaceData,
+    _ORIENTATIONS,
     _limit_rows,
     _mean_rank,
     delta_global,
@@ -76,7 +77,6 @@ from .disparity import (
 # rows, so their memory does not grow with --steps or --grid.
 _BLOCK = 256
 _MODES = {"exact": "exact_kernel", "sampled": "sampled_at_Y"}
-_ORIENTATIONS = ("odd_heavy", "even_heavy")
 _SPEC_OPTIONAL = (
     "rate", "mode", "Y", "walks", "seed", "levels", "threshold", "stream",
     "table", "orientation", "p", "N",
@@ -346,6 +346,11 @@ def cmd_equilibrium(args):
 def cmd_iterate(args):
     if args.steps < 0:
         raise ValidationError(f"--steps must be >= 0, got {args.steps}")
+    # The table holds steps + 1 float64s, and numpy describes no array of
+    # more than intp-max bytes: np.empty would raise ValueError.
+    longest = np.iinfo(np.intp).max // 8
+    if args.steps >= longest:
+        raise ValidationError(f"--steps must be < {longest} for a float64 table, got {args.steps}")
     params = LagrangianParams(args.p, args.N)
     f = _parse_initial(args.initial, args.N)
     target = predicted_limit(f, "even", params).values
@@ -553,6 +558,9 @@ def main(argv=None) -> int:
         return 1
     except SelmerLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ weights the odd side).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -70,6 +70,7 @@ __all__ = [
 ]
 
 Orientation = Literal["odd_heavy", "even_heavy"]
+_ORIENTATIONS = get_args(Orientation)  # the names an Orientation takes
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ def _limit_rows(c: np.ndarray, deltas: list, orientation: Orientation) -> np.nda
     # would be: a delta's range, the orientation, then the delta's row, so
     # the first bad delta raises.
     good = _inside(deltas)
-    if good and orientation not in ("odd_heavy", "even_heavy"):
+    if good and orientation not in _ORIENTATIONS:
         raise ValidationError(f"unknown orientation {orientation!r}")
     tilt = np.array(deltas[:good], dtype=np.float64)[:, None]
     rows = _parity_weighted(c, 0.5 + tilt if orientation == "odd_heavy" else 0.5 - tilt)

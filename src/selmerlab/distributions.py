@@ -63,6 +63,11 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _zeros(shape, exact: bool) -> np.ndarray:
+    # The one zero array of both backends, of Fraction zeros when exact.
+    return np.full(shape, Fraction(0), dtype=object) if exact else np.zeros(shape)
+
+
 def _coerce_vector(raw) -> np.ndarray:
     try:
         values = list(raw)
@@ -128,10 +133,7 @@ def make_density(raw, N: int | None = None) -> Density:
     if len(values) > N:
         raise TruncationMismatch(f"raw has length {len(values)} > N = {N}")
     if len(values) < N:
-        pad = np.zeros(N - len(values), dtype=values.dtype)
-        if _is_exact(values):
-            pad = np.array([Fraction(0)] * (N - len(values)), dtype=object)
-        values = np.concatenate([values, pad])
+        values = np.concatenate([values, _zeros(N - len(values), _is_exact(values))])
     _validate_probability_vector(values, TOL_NORM, "density")
     return Density(_freeze(values))
 
@@ -184,13 +186,8 @@ def make_operator(matrix) -> BandedOperator:
 
 
 def identity_operator(N: int, *, exact: bool = False) -> BandedOperator:
-    if exact:
-        matrix = np.array(
-            [[Fraction(1) if r == s else Fraction(0) for s in range(N)] for r in range(N)],
-            dtype=object,
-        )
-    else:
-        matrix = np.eye(N)
+    matrix = _zeros((N, N), exact)
+    np.fill_diagonal(matrix, Fraction(1) if exact else 1.0)
     return BandedOperator(_freeze(matrix))
 
 

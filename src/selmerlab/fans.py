@@ -32,7 +32,6 @@ throughout.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,6 +60,8 @@ from .twists import (
     PrimeStream,
     TStepSampler,
     _check_run,
+    _check_width,
+    _is_int,
     _marginals,
     _walk_average,
     exact_step_kernel,
@@ -296,7 +297,7 @@ def _subsets(groups: list[tuple[int, int, int]], rng: np.random.Generator) -> np
 
 def _check_count(value, name: str, least: int) -> None:
     # The one rule for a level count: a non-bool int >= least.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    if not _is_int(value) or value < least:
         raise ValidationError(f"{name} must be an int >= {least}, got {value!r}")
 
 
@@ -409,6 +410,8 @@ class Fan:
         """
         spec = self.spec
         _check_count(count, "count", 0)
+        if rng is None:
+            raise ValidationError("a level draw needs an rng")
         if not self.size:
             n1, n2 = self._pattern
             if np.count_nonzero(self.widths == 1) < n1 or np.count_nonzero(self.widths == 2) < n2:
@@ -719,6 +722,7 @@ def step_average_gap(
     error of the Monte Carlo estimate.
     """
     _check_run("sampled_at_Y", p, initial.N, walks, 1, y, rng)
+    _check_width(i)
     base = _fan_average([[s.width for s in level.sites]], initial, "exact_kernel", p, rng, 0, None)
     target = apply(_cached_power(p, initial.N, i), base)
     sampler = _seeded_sampler(p, y, rng)

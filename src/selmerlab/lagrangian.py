@@ -52,6 +52,7 @@ from .distributions import (
     _density_unchecked,
     _freeze,
     _parity_weighted,
+    _zeros,
     apply,
     l1_distance,
     rho_parity,
@@ -76,15 +77,13 @@ _TAIL_TERMS = 200
 _GUARD_BITS = 128
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _check_prime(p: int) -> None:
+    # The one prime rule: LagrangianParams, t_distribution and TStepSampler.
     d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
+    while d * d <= p and p % d:
         d += 1
-    return True
+    if p < 2 or d * d <= p:
+        raise InvalidPrime(f"p = {p} is not prime")
 
 
 def _check_window(N: int) -> None:
@@ -101,8 +100,7 @@ class LagrangianParams:
     N: int = 64
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise InvalidPrime(f"p = {self.p} is not prime")
+        _check_prime(self.p)
         _check_window(self.N)
 
 
@@ -122,12 +120,8 @@ def build_lagrangian(params: LagrangianParams, *, exact: bool = False) -> Banded
     exactly; otherwise float64.
     """
     p, N = params.p, params.N
-    if exact:
-        matrix = np.full((N, N), Fraction(0), dtype=object)
-        one = Fraction(1)
-    else:
-        matrix = np.zeros((N, N))
-        one = 1.0
+    matrix = _zeros((N, N), exact)
+    one = Fraction(1) if exact else 1.0
 
     for r in range(N):
         up = Fraction(1, p**r) if exact else float(p) ** (-r)

@@ -41,7 +41,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -50,9 +49,10 @@ from .distributions import (
     Density,
     _density_unchecked,
     _freeze,
+    _zeros,
 )
-from .errors import DegenerateConfig, InvalidPrime, ValidationError
-from .lagrangian import LagrangianParams, _check_window, _is_prime
+from .errors import DegenerateConfig, ValidationError
+from .lagrangian import LagrangianParams, _check_prime, _check_window
 
 __all__ = [
     "S3_WIDTH_DENSITIES",
@@ -87,9 +87,14 @@ class PrimeSite:
             raise ValidationError(f"site width must be 0, 1 or 2, got {self.width}")
 
 
+def _is_int(value) -> bool:
+    # The one integer rule of seeds, walk and level counts: no bool.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _is_seed(seed) -> bool:
-    # A seed numpy accepts: a non-bool int >= 0.
-    return not isinstance(seed, bool) and isinstance(seed, numbers.Integral) and seed >= 0
+    # A seed numpy accepts: an int >= 0.
+    return _is_int(seed) and seed >= 0
 
 
 @dataclass(frozen=True)
@@ -130,12 +135,10 @@ class PrimeStream(Sequence[PrimeSite]):
     __slots__ = ("norms", "widths", "_fans")
 
     def __init__(self, norms: np.ndarray, widths: np.ndarray):
-        bad = np.flatnonzero(~(norms > 1.0))
-        if bad.size:
-            raise ValidationError(f"site norm must be > 1, got {norms[bad[0]]}")
-        bad = np.flatnonzero((widths < 0) | (widths > 2))
-        if bad.size:
-            raise ValidationError(f"site width must be 0, 1 or 2, got {widths[bad[0]]}")
+        bad = np.flatnonzero(~(norms > 1.0) | (widths < 0) | (widths > 2))
+        if bad.size:  # the first bad site raises PrimeSite's error
+            j = int(bad[0])
+            PrimeSite(j, float(norms[j]), int(widths[j]))
         self.norms, self.widths = norms, widths
         norms.flags.writeable = widths.flags.writeable = False
         self._fans = {}
@@ -208,6 +211,12 @@ def synth_prime_stream(config: StreamConfig, X: float) -> Sequence[PrimeSite]:
     return PrimeStream(np.concatenate(norms), np.concatenate(widths))
 
 
+def _check_width(i) -> None:
+    # The one step-width rule: t_distribution and step_average_gap.
+    if i not in (1, 2):
+        raise ValidationError(f"width i must be 1 or 2, got {i}")
+
+
 def t_distribution(i: int, r: int, p: int, *, exact: bool = False):
     """Distribution of the localization dimension t over {0, ..., i}.
 
@@ -215,12 +224,10 @@ def t_distribution(i: int, r: int, p: int, *, exact: bool = False):
     (rows then sum to 1 exactly).  The rows put no mass on t > r, so
     the rank floor is automatic.
     """
-    if i not in (1, 2):
-        raise ValidationError(f"width i must be 1 or 2, got {i}")
+    _check_width(i)
     if r < 0:
         raise ValidationError(f"rank r must be >= 0, got {r}")
-    if not _is_prime(p):
-        raise InvalidPrime(f"p = {p} is not prime")
+    _check_prime(p)
     q = Fraction(1, p**r)
     if i == 1:
         row = (q, 1 - q)
@@ -268,10 +275,7 @@ def exact_step_kernel(i: int, p: int, N: int, *, exact: bool = False) -> BandedO
     Lagrangian; width 2: onto the diagonal), keeping parity behavior.
     """
     _check_window(N)
-    if exact:
-        matrix = np.full((N, N), Fraction(0), dtype=object)
-    else:
-        matrix = np.zeros((N, N))
+    matrix = _zeros((N, N), exact)
     for r in range(N):
         row = t_distribution(i, r, p, exact=True)
         for target, mass in _compose(i, r, row, Fraction(1, p), N):
@@ -299,8 +303,7 @@ class TStepSampler:
     """
 
     def __init__(self, p: int, y: float | None = None, seed: int = 0):
-        if not _is_prime(p):
-            raise InvalidPrime(f"p = {p} is not prime")
+        _check_prime(p)
         _check_cutoff(y)
         if not _is_seed(seed):
             raise ValidationError(f"seed must be an int >= 0, got {seed!r}")
@@ -425,7 +428,7 @@ def simulate_walks(
 def _check_walks(walks, levels: int) -> None:
     # A sampled run's walk budget: a non-bool int, with a walk per level and
     # no more per level than an int64 holds, the count multinomial takes.
-    if isinstance(walks, bool) or not isinstance(walks, numbers.Integral):
+    if not _is_int(walks):
         raise ValidationError(f"walks must be an int, got {walks!r}")
     if walks < levels:
         raise ValidationError(f"need a walk per level, got {walks} for {levels} levels")
@@ -470,26 +473,16 @@ def _marginals(rows, start: np.ndarray, kernel) -> np.ndarray:
 
 def _sampled_marginals(rows, initial: Density, sampler: TStepSampler) -> np.ndarray:
     # _marginals under the sampler's kernels, from the start law scaled to
-    # sum to 1.  A width-i step rises at most i ranks and a fold lands
-    # lower, so a walk meets its n-th step no higher than the start's top
-    # rank plus the widths before it.  Each width's kernel is built up to
-    # the highest such rank over its steps, its reach; kernel rows above
-    # it would meet no mass, and are not built.
+    # sum to 1.  A step rises at most its width and a fold lands lower, so
+    # no walk meets a width-i step above the start's top rank plus the
+    # widest row's total width, less i: width i's reach.  Its kernel is
+    # built up to there; rows above it would meet no mass.
     N = initial.N
     start = initial.as_float()
     start = start / start.sum()
-    top = int(np.flatnonzero(start)[-1])
-    # The steps of all rows in one array: prefix[n] sums the widths before
-    # step n, and a row's own climb subtracts the earlier rows' part, read
-    # at the row's first step (an empty row reads and repeats nothing).
-    lengths = [len(row) for row in rows]
-    steps = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=sum(lengths))
-    prefix = np.concatenate(([0], np.cumsum(steps)))
-    climb = top + prefix[:-1] - np.repeat(prefix[np.cumsum(lengths) - lengths], lengths)
-    kernels = {
-        i: sampler._kernel(i, min(int(climb[steps == i].max()), N - 1), N)
-        for i in set(steps.tolist())
-    }
+    reach = int(np.flatnonzero(start)[-1]) + max(map(sum, rows))
+    widths = {i for row in rows for i in row}
+    kernels = {i: sampler._kernel(i, min(reach - i, N - 1), N) for i in widths}
     return _marginals(rows, start, kernels.__getitem__)
 
 

@@ -431,6 +431,26 @@ def test_fans_walks_past_int64_per_level_exit_one(tmp_path, capsys):
     assert err == f"error: need at most 2**63 - 1 walks per level, got {10**30 // 3}\n"
 
 
+def test_iterate_rejects_steps_past_a_float64_table(capsys):
+    # np.empty used to raise "Maximum allowed dimension exceeded"
+    code, out, err = run(["iterate", "--steps", str(10**20)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --steps must be < {2**60 - 1} for a float64 table, got {10**20}\n"
+
+
+def test_out_of_memory_exits_one(monkeypatch, capsys):
+    # a subcommand that cannot allocate what it needs; nothing is allocated
+    def cmd_constants(args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "cmd_constants", cmd_constants)
+    monkeypatch.setattr(cli, "_PARSER", cli.build_parser())  # binds the stand-in
+    code, out, err = run(["constants"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: out of memory: Unable to allocate 7.28 TiB\n"
+
+
 def test_out_file_and_determinism(tmp_path, capsys):
     spec = fans_spec(tmp_path, mode="sampled", walks=4000, Y=200.0, seed=9)
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -870,6 +870,8 @@ def fault_case(entry, name, change, error, message):
         LEVEL, 1, init, 2, 1.0, rng), id="step-y"),
     pytest.param(sl.ValidationError, "walk per level", lambda stream, init, rng: (
         sl.step_average_gap(LEVEL, 1, init, 2, 100.0, rng, walks=0)), id="step-walks"),
+    pytest.param(sl.ValidationError, "width i must be 1 or 2, got 3", lambda stream, init, rng: (
+        sl.step_average_gap(LEVEL, 3, init, 2, 100.0, rng)), id="step-i"),
     *(fault_case(entry, name, change, error, message)
       for name, change, error, message, entries in RUN_FAULTS for entry in entries),
 ])
@@ -896,6 +898,19 @@ def test_a_sampled_run_without_an_rng_is_a_validation_error(entry):
     # these used to fail with an AttributeError at their first read of rng
     with pytest.raises(sl.ValidationError, match="sampled mode needs an rng"):
         run_entry(entry, default_stream(), init=make_initial(32), rng=None)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda stream, init: sl.fan_collapse(SPEC_23, stream, init, "exact_kernel", 2, None, levels=3),
+    lambda stream, init: sl.fan_union_distribution(stream, 4, 4, 10.0, SQUARE, init,
+                                                   "exact_kernel", 2, None),
+    lambda stream, init: sl.sample_levels(stream, SPEC_23, 3, None),
+], ids=["fan_collapse", "fan_union_distribution", "sample_levels"])
+def test_a_level_draw_without_an_rng_is_a_validation_error(entry):
+    # exact mode reads no sampler seed, but its level draw reads the rng;
+    # these used to fail with an AttributeError in Fan.draw
+    with pytest.raises(sl.ValidationError, match="a level draw needs an rng"):
+        entry(default_stream(), make_initial(32))
 
 
 def test_walks_per_level_are_bounded_by_int64():

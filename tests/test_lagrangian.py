@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import selmerlab as sl
 from selmerlab import lagrangian
-from selmerlab.lagrangian import _exact_prefactor, _prefactor_bracket
+from selmerlab.lagrangian import _check_prime, _exact_prefactor, _prefactor_bracket
 
 
 def fraction_constants(p, N):
@@ -25,6 +25,24 @@ def test_params_validation():
         sl.LagrangianParams(1, 64)
     with pytest.raises(ValueError):
         sl.LagrangianParams(2, 1)
+
+
+def test_check_prime_matches_a_sieve():
+    # the one prime rule, behind LagrangianParams, t_distribution and
+    # TStepSampler, against Eratosthenes on -3..3000
+    top = 3000
+    prime = [False, False] + [True] * (top - 1)
+    for n in range(2, 55):
+        if prime[n]:
+            prime[n * n :: n] = [False] * len(prime[n * n :: n])
+    for p in range(-3, top + 1):
+        if p >= 0 and prime[p]:
+            _check_prime(p)
+            continue
+        with pytest.raises(sl.InvalidPrime) as info:
+            _check_prime(p)
+        assert type(info.value) is sl.InvalidPrime
+        assert str(info.value) == f"p = {p} is not prime"
 
 
 def test_params_reject_a_one_rank_window():

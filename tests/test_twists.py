@@ -165,6 +165,22 @@ def test_sites_reject_a_bad_norm_or_width():
         PrimeStream(np.array([2.0, 3.0]), np.array([1, 3]))
 
 
+@pytest.mark.parametrize("norm, width", [(math.nan, 1), (1.0, 1), (2.0, 3), (2.0, -1)])
+def test_a_stream_reports_a_bad_site_as_the_site_does(norm, width):
+    with pytest.raises(sl.ValidationError) as site:
+        sl.PrimeSite(1, norm, width)
+    with pytest.raises(sl.ValidationError) as stream:
+        PrimeStream(np.array([2.0, norm, 3.0]), np.array([1, width, 2]))
+    assert type(stream.value) is type(site.value)
+    assert str(stream.value) == str(site.value)
+
+
+def test_a_stream_reports_its_first_bad_site():
+    # a bad width at site 1 comes before a bad norm at site 2
+    with pytest.raises(sl.ValidationError, match="width must be 0, 1 or 2, got 3"):
+        PrimeStream(np.array([2.0, 3.0, 1.0]), np.array([1, 3, 1]))
+
+
 def test_t_distribution_rows():
     assert list(sl.t_distribution(1, 0, 2)) == [1.0, 0.0]
     assert list(sl.t_distribution(1, 2, 2)) == [0.25, 0.75]
@@ -494,6 +510,29 @@ def test_sampled_marginals_equal_products_with_full_kernels(p, N, rows, weights,
     kernels = {i: full._kernel(i, N - 1, N) for i in (1, 2)}
     expect = _marginals(rows, start / start.sum(), kernels.__getitem__)
     assert got.tobytes() == expect.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    N=st.integers(2, 16),
+    rows=st.lists(st.lists(st.sampled_from([1, 2]), max_size=7), min_size=1, max_size=6),
+    weights=st.lists(st.integers(0, 4), min_size=1, max_size=16).filter(any),
+    y=st.sampled_from([None, 30.0]),
+)
+def test_sampled_kernels_are_built_to_their_reach(p, N, rows, weights, y):
+    # width i's kernel builds sampler rows 0 .. min(top + widest - i, N - 1),
+    # each once: top is the start's top rank, widest the largest row total
+    weights = weights[:N] if any(weights[:N]) else [1]
+    init = sl.make_density(np.array(weights) / sum(weights), N)
+    sampler, calls = TStepSampler(p, y, 5), []
+    row = sampler.row
+    sampler.row = lambda i, r: calls.append((i, r)) or row(i, r)
+    _sampled_marginals(rows, init, sampler)
+    top, widest = max(r for r, w in enumerate(weights) if w), max(map(sum, rows))
+    widths = {i for level in rows for i in level}
+    expect = [(i, r) for i in sorted(widths) for r in range(min(top + widest - i, N - 1) + 1)]
+    assert sorted(calls) == expect
 
 
 def test_simulate_walks_rejects_a_sampler_for_another_prime():
