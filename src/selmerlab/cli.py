@@ -220,8 +220,14 @@ def _emit(payload: dict, args) -> None:
 
 
 def _load_json(path: str):
-    with open(path) as handle:
-        return json.load(handle)
+    # The one JSON reader.  Besides a syntax error, bytes that are not UTF-8,
+    # nesting past the parser's recursion limit and an integer of more digits
+    # than int() reads (ValueError) are malformed JSON: exit 1, one line.
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationError(f"malformed JSON: {exc}") from None
 
 
 def _object(data, what: str, required=(), optional=()) -> dict:
@@ -343,14 +349,18 @@ def cmd_equilibrium(args):
     return payload, 0
 
 
+def _check_table_length(value: int, flag: str) -> None:
+    # numpy describes no array of more than intp-max bytes, so np.empty and
+    # np.linspace would raise ValueError for a float64 table this long.
+    longest = np.iinfo(np.intp).max // 8
+    if value >= longest:
+        raise ValidationError(f"{flag} must be < {longest} for a float64 table, got {value}")
+
+
 def cmd_iterate(args):
     if args.steps < 0:
         raise ValidationError(f"--steps must be >= 0, got {args.steps}")
-    # The table holds steps + 1 float64s, and numpy describes no array of
-    # more than intp-max bytes: np.empty would raise ValueError.
-    longest = np.iinfo(np.intp).max // 8
-    if args.steps >= longest:
-        raise ValidationError(f"--steps must be < {longest} for a float64 table, got {args.steps}")
+    _check_table_length(args.steps, "--steps")  # the table holds steps + 1 float64s
     params = LagrangianParams(args.p, args.N)
     f = _parse_initial(args.initial, args.N)
     target = predicted_limit(f, "even", params).values
@@ -439,6 +449,7 @@ def cmd_fans(args):
         }
         residual = report.residual_finite
     else:
+        LagrangianParams(p, N)  # p and N are checked before N sizes the start density
         fan, target = fan_collapse(
             FanSpec.from_rate(rate, m, k, X), synth_prime_stream(config, stream_X),
             make_density([1.0], N), mode, p, rng, levels=levels, walks=walks, y=y,
@@ -474,6 +485,7 @@ def cmd_avg_rank(args):
     if args.deltas:
         grid = [_number(x, float, "--deltas") for x in args.deltas.split(",")]
     else:
+        _check_table_length(args.grid, "--grid")
         grid = list(np.linspace(-0.5, 0.5, max(args.grid, 0)))
     if len(set(grid)) < 2:
         raise ValidationError("the affine fit needs at least two distinct deltas")
@@ -553,9 +565,6 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
         payload, code = args.func(args)
         _emit(payload, args)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return 1
     except SelmerLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

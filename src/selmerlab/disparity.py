@@ -41,7 +41,6 @@ from .distributions import (
     apply,
     l1_distance,
     make_density,
-    power,
     rho_parity,
 )
 from .errors import (
@@ -50,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .fans import ConvergenceRate, FanSpec, Mode, fan_collapse
-from .lagrangian import LagrangianParams, build_lagrangian, c_constants
+from .lagrangian import LagrangianParams, _lagrangian_power, c_constants
 from .twists import StreamConfig, synth_prime_stream
 
 __all__ = [
@@ -181,9 +180,8 @@ def finite_fan_distribution(pair: InitialPair, k: int, p: int, N: int) -> Densit
     """
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
-    operator = power(build_lagrangian(LagrangianParams(p, N)), k)
     start = pair.e1_plus if k % 2 == 0 else pair.e1_minus
-    return apply(operator, start)
+    return apply(_lagrangian_power(p, N, k), start)
 
 
 def limit_distribution(

@@ -34,37 +34,27 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Literal
 
 import numpy as np
 
-from .distributions import (
-    BandedOperator,
-    Density,
-    _density_unchecked,
-    apply,
-    l1_distance,
-    power,
-)
+from .distributions import Density, _density_unchecked, apply, l1_distance
 from .errors import (
     EmptyFan,
     InfeasibleFan,
     NotSubset,
     ValidationError,
 )
-from .lagrangian import LagrangianParams, build_lagrangian
+from .lagrangian import _lagrangian_power
 from .twists import (
     PrimeSite,
     PrimeStream,
     TStepSampler,
     _check_run,
     _check_width,
+    _fan_average,
     _is_int,
-    _marginals,
-    _walk_average,
-    exact_step_kernel,
 )
 
 __all__ = [
@@ -295,10 +285,17 @@ def _subsets(groups: list[tuple[int, int, int]], rng: np.random.Generator) -> np
     return held
 
 
+# Level counts stop below this bound: numpy describes no int64 array of
+# more than intp-max (2**63 - 1) bytes, and a draw holds an entry per level.
+_COUNT_BOUND = 2**60
+
+
 def _check_count(value, name: str, least: int) -> None:
-    # The one rule for a level count: a non-bool int >= least.
+    # The one rule for a level count: a non-bool int >= least, below the bound.
     if not _is_int(value) or value < least:
         raise ValidationError(f"{name} must be an int >= {least}, got {value!r}")
+    if value >= _COUNT_BOUND:
+        raise ValidationError(f"{name} must be below the count bound 2**60, got {value}")
 
 
 class Fan:
@@ -508,16 +505,6 @@ def enumerate_levels(stream, spec: FanSpec) -> list[Level]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _cached_kernel(i: int, p: int, N: int) -> BandedOperator:
-    return exact_step_kernel(i, p, N)
-
-
-@lru_cache(maxsize=None)
-def _cached_power(p: int, N: int, k: int) -> BandedOperator:
-    return power(build_lagrangian(LagrangianParams(p, N)), k)
-
-
 def level_rank_distribution(
     level: Level,
     initial: Density,
@@ -564,18 +551,6 @@ def fan_distribution(
     return _fan_average(rows, initial, mode, p, rng, walks, None)
 
 
-def _fan_average(rows, initial, mode, p, rng, walks, sampler) -> Density:
-    # fan_distribution of levels given as width rows in norm order: the one
-    # mode dispatch, unchecked: each run's entry has called _check_run.  The
-    # mean of one exact row is that row, bit for bit.
-    if mode == "exact_kernel":
-        # A fan repeats few width sequences, and fewer prefixes of them.
-        N = initial.N
-        levels = _marginals(rows, initial.values, lambda i: _cached_kernel(i, p, N).matrix)
-        return _density_unchecked(np.mean(levels, axis=0))
-    return _walk_average(rows, initial, p, walks, rng, sampler)
-
-
 def _seeded_sampler(p: int, y: float | None, rng: np.random.Generator) -> TStepSampler:
     return TStepSampler(p, y, seed=int(rng.integers(2**62)))
 
@@ -608,7 +583,7 @@ def fan_collapse(
     rows = fan.widths[fan.draw(levels, rng)].tolist()
     sampler = _seeded_sampler(p, y, rng) if mode == "sampled_at_Y" else None
     average = _fan_average(rows, initial, mode, p, rng, walks, sampler)
-    return average, apply(_cached_power(p, initial.N, spec.k), initial)
+    return average, apply(_lagrangian_power(p, initial.N, spec.k), initial)
 
 
 def fan_collapse_residual(
@@ -724,9 +699,9 @@ def step_average_gap(
     _check_run("sampled_at_Y", p, initial.N, walks, 1, y, rng)
     _check_width(i)
     base = _fan_average([[s.width for s in level.sites]], initial, "exact_kernel", p, rng, 0, None)
-    target = apply(_cached_power(p, initial.N, i), base)
+    target = apply(_lagrangian_power(p, initial.N, i), base)
     sampler = _seeded_sampler(p, y, rng)
-    empirical = _walk_average([[i]], base, p, walks, rng, sampler)
+    empirical = _fan_average([[i]], base, "sampled_at_Y", p, rng, walks, sampler)
     b = int(np.nonzero(base.as_float())[0].max())
     bias_bound = (b + 1) / y
     t = target.as_float()

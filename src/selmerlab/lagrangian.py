@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .distributions import (
     _zeros,
     apply,
     l1_distance,
+    power,
     rho_parity,
 )
 from .errors import InvalidPrime, NoConvergence, ValidationError
@@ -77,8 +79,15 @@ _TAIL_TERMS = 200
 _GUARD_BITS = 128
 
 
+# Primes are taken below this bound, so the trial division in _check_prime
+# stops by d = 46341 and takes milliseconds.
+_PRIME_BOUND = 2**31
+
+
 def _check_prime(p: int) -> None:
     # The one prime rule: LagrangianParams, t_distribution and TStepSampler.
+    if p >= _PRIME_BOUND:
+        raise InvalidPrime(f"p = {p} is not below the prime bound 2**31")
     d = 2
     while d * d <= p and p % d:
         d += 1
@@ -86,10 +95,18 @@ def _check_prime(p: int) -> None:
         raise InvalidPrime(f"p = {p} is not prime")
 
 
+# Windows stop below this bound: numpy describes no N x N float64 matrix of
+# more than intp-max (2**63 - 1) bytes.
+_WINDOW_BOUND = 2**30
+
+
 def _check_window(N: int) -> None:
-    # The one rank-window rule: a width-1 step must be able to flip parity.
+    # The one rank-window rule: a width-1 step must be able to flip parity,
+    # and the window's operators must be arrays numpy can describe.
     if N < 2:
         raise ValidationError(f"N must be >= 2, got {N}")
+    if N >= _WINDOW_BOUND:
+        raise ValidationError(f"N must be below the window bound 2**30, got {N}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +153,13 @@ def build_lagrangian(params: LagrangianParams, *, exact: bool = False) -> Banded
             matrix[r, r - 1] += up
     # Entries sit on |r - s| = 1 only; the boundary fold lands on r - 1.
     return BandedOperator(_freeze(matrix))
+
+
+@lru_cache(maxsize=None)
+def _lagrangian_power(p: int, N: int, k: int) -> BandedOperator:
+    # The governed target M_L**k on window N, built once per (p, N, k): the
+    # fan pipelines and the finite-width disparity law all read it here.
+    return power(build_lagrangian(LagrangianParams(p, N)), k)
 
 
 def _exact_prefactor(p: int) -> Fraction:

@@ -135,6 +135,11 @@ class PrimeStream(Sequence[PrimeSite]):
     __slots__ = ("norms", "widths", "_fans")
 
     def __init__(self, norms: np.ndarray, widths: np.ndarray):
+        if len(norms) != len(widths):
+            raise ValidationError(
+                f"a stream needs one width per norm, got {len(norms)} norms"
+                f" and {len(widths)} widths"
+            )
         bad = np.flatnonzero(~(norms > 1.0) | (widths < 0) | (widths > 2))
         if bad.size:  # the first bad site raises PrimeSite's error
             j = int(bad[0])
@@ -275,12 +280,25 @@ def exact_step_kernel(i: int, p: int, N: int, *, exact: bool = False) -> BandedO
     Lagrangian; width 2: onto the diagonal), keeping parity behavior.
     """
     _check_window(N)
+    rows = (t_distribution(i, r, p, exact=True) for r in range(N))
+    return BandedOperator(_freeze(_kernel(i, rows, Fraction(1, p), N, exact)))
+
+
+def _kernel(i: int, rows, p_inv, N: int, exact: bool = False) -> np.ndarray:
+    # The one kernel builder: row r of the width-i matrix on window N is the
+    # composed r-th of the given t-rows, and zero past the last one given.
+    # Folded targets can repeat; their masses add.
     matrix = _zeros((N, N), exact)
-    for r in range(N):
-        row = t_distribution(i, r, p, exact=True)
-        for target, mass in _compose(i, r, row, Fraction(1, p), N):
+    for r, row in enumerate(rows):
+        for target, mass in _compose(i, r, row, p_inv, N):
             matrix[r, target] += mass if exact else float(mass)
-    return BandedOperator(_freeze(matrix))
+    return matrix
+
+
+@lru_cache(maxsize=None)
+def _exact_kernel(i: int, p: int, N: int) -> BandedOperator:
+    # The exact-mode kernels of _fan_average, built once per (i, p, N).
+    return exact_step_kernel(i, p, N)
 
 
 def _check_cutoff(y) -> None:
@@ -314,16 +332,6 @@ class TStepSampler:
         # default_rng([seed, i, r]) reads from its first entry.
         seed = int(seed)
         self._words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
-
-    def _kernel(self, i: int, top: int, N: int) -> np.ndarray:
-        # The sampled width-i kernel on window N: row r is the composed row
-        # of rank r for r <= top, and zero above.  Folded targets can
-        # repeat; their masses add.
-        kernel = np.zeros((N, N))
-        for r in range(top + 1):
-            for target, mass in _compose(i, r, self.row(i, r), 1.0 / self.p, N):
-                kernel[r, target] += mass
-        return kernel
 
     def _rng(self, i: int, r: int) -> np.random.Generator:
         # default_rng([seed, i, r]) built from its uint32 words: the same
@@ -416,13 +424,13 @@ def simulate_walks(
     histogram with exactly the law Multinomial(W, E).  The cost depends
     on the window and the widths, not on W.
 
-    This is the one-level case of a sampled fan; see :func:`_walk_average`.
+    This is the one-level case of a sampled fan; see :func:`_fan_average`.
     A rejected call (:func:`_check_run`, the sampler's p) leaves ``rng`` as it was.
     """
     _check_run("sampled_at_Y", p, initial.N, walks, 1, None, rng)
     if sampler is not None and sampler.p != p:
         raise ValidationError(f"sampler is for p = {sampler.p}, walks are for p = {p}")
-    return _walk_average([widths], initial, p, walks, rng, sampler)
+    return _fan_average([widths], initial, "sampled_at_Y", p, rng, walks, sampler)
 
 
 def _check_walks(walks, levels: int) -> None:
@@ -440,8 +448,7 @@ def _check_run(mode, p: int, N: int, walks, levels: int, y: float | None, rng) -
     # Everything a fan or walk run rejects, checked once by each public entry
     # before its first rng read: the mode, a prime p and a window N >= 2 (the
     # LagrangianParams rules), and in sampled mode an rng, a walk per level
-    # and the sampler's cutoff.  The cores, fans._fan_average and
-    # _walk_average, check nothing.
+    # and the sampler's cutoff.  The core, _fan_average, checks nothing.
     if mode not in ("exact_kernel", "sampled_at_Y"):
         raise ValidationError(f"unknown mode {mode!r}")
     LagrangianParams(p, N)
@@ -481,18 +488,28 @@ def _sampled_marginals(rows, initial: Density, sampler: TStepSampler) -> np.ndar
     start = initial.as_float()
     start = start / start.sum()
     reach = int(np.flatnonzero(start)[-1]) + max(map(sum, rows))
-    widths = {i for row in rows for i in row}
-    kernels = {i: sampler._kernel(i, min(reach - i, N - 1), N) for i in widths}
+    kernels = {}
+    for i in {i for row in rows for i in row}:
+        top = min(reach - i, N - 1)
+        kernels[i] = _kernel(i, (sampler.row(i, r) for r in range(top + 1)), 1.0 / sampler.p, N)
     return _marginals(rows, start, kernels.__getitem__)
 
 
-def _walk_average(rows, initial, p, walks, rng, sampler) -> Density:
-    # A sampled fan: walks // len(rows) walks through each width row, and
+def _fan_average(rows, initial, mode, p, rng, walks, sampler) -> Density:
+    # The fan average of levels given as width rows in norm order: the one
+    # mode dispatch, unchecked, since each run's entry has called _check_run.
+    # Exact mode takes the mean of the rows' marginals under the cached exact
+    # kernels; a fan repeats few width sequences, and fewer prefixes of them.
+    # The mean of one exact row is that row, bit for bit.
+    if mode == "exact_kernel":
+        N = initial.N
+        levels = _marginals(rows, initial.values, lambda i: _exact_kernel(i, p, N).matrix)
+        return _density_unchecked(np.mean(levels, axis=0))
+    # Sampled mode runs walks // len(rows) walks through each row and takes
     # the mean of the level histograms.  Given the sampler, the walks of a
     # level are i.i.d. chains, so its histogram is Multinomial(walks //
     # len(rows), E_j) for its marginal E_j, and one multinomial call with
-    # one pvals row per level draws them all.  That call, the one read of
-    # rng, follows the run entry's _check_run; nothing is checked here.
+    # one pvals row per level draws them all: the one read of rng.
     sampler = sampler or TStepSampler(p)
     per_level = walks // len(rows)
     counts = rng.multinomial(per_level, _sampled_marginals(rows, initial, sampler))

@@ -153,6 +153,87 @@ def test_fans_malformed_json_exits_one(tmp_path, capsys):
     assert "malformed" in err
 
 
+def json_argv(command, path):
+    # the argv that reads the JSON file at path: a fans spec, a disparity
+    # table or an iterate start density
+    if command == "iterate":
+        return ["iterate", "--initial", f"@{path}"]
+    return [command, str(path)]
+
+
+@pytest.mark.parametrize("command", ["fans", "disparity", "iterate"])
+def test_deeply_nested_json_exits_one(command, tmp_path, capsys):
+    # nesting past the parser's recursion limit used to raise RecursionError
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(json_argv(command, path), capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: malformed JSON: maximum recursion depth exceeded"
+        " while decoding a JSON array from a unicode string\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["fans", "disparity", "iterate"])
+def test_json_integer_of_thousands_of_digits_exits_one(command, tmp_path, capsys):
+    # more digits than int() reads used to raise ValueError out of main
+    path = tmp_path / "long.json"
+    path.write_text('{"X": 1' + "0" * 5000 + "}")
+    code, out, err = run(json_argv(command, path), capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed JSON: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["fans", "disparity", "iterate"])
+def test_json_file_that_is_not_utf8_exits_one(command, tmp_path, capsys):
+    # a Latin-1 byte used to raise UnicodeDecodeError out of main
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"m": 2, "k": 3, "X": 10.0, "mode": "\u00e9xact"}'.encode("latin-1"))
+    code, out, err = run(json_argv(command, path), capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: malformed JSON: 'utf-8' codec can't decode byte 0xe9 in position 37:"
+        " invalid continuation byte\n"
+    )
+
+
+def test_prime_past_the_bound_exits_one_at_once(capsys):
+    # 2**61 - 1 is prime, and trial division would take minutes
+    code, out, err = run(["constants", "-p", str(2**61 - 1)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: p = {2**61 - 1} is not below the prime bound 2**31\n"
+
+
+@pytest.mark.parametrize("command", ["constants", "equilibrium", "iterate", "avg-rank"])
+def test_window_numpy_cannot_describe_exits_one(command, capsys):
+    # np.zeros used to raise ValueError: Maximum allowed dimension exceeded
+    code, out, err = run([command, "-N", str(10**20)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: N must be below the window bound 2**30, got {10**20}\n"
+
+
+def test_fans_window_is_checked_before_it_sizes_the_start(tmp_path, capsys):
+    # the start density was padded to N before N was checked
+    code, out, err = run(["fans", fans_spec(tmp_path, N=10**20)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: N must be below the window bound 2**30, got {10**20}\n"
+
+
+def test_fans_levels_past_the_count_bound_exit_one(tmp_path, capsys):
+    # the draw's list of 10**20 entries used to raise OverflowError
+    code, out, err = run(["fans", fans_spec(tmp_path, levels=10**20)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: levels must be below the count bound 2**60, got {10**20}\n"
+
+
+def test_avg_rank_grid_past_a_float64_table_exits_one(capsys):
+    # np.linspace used to raise ValueError: Maximum allowed size exceeded
+    code, out, err = run(["avg-rank", "--grid", str(10**20)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: --grid must be < {2**60 - 1} for a float64 table, got {10**20}\n"
+
+
 def test_fans_missing_file_exits_three(tmp_path, capsys):
     code, out, err = run(["fans", str(tmp_path / "nope.json")], capsys)
     assert code == 3

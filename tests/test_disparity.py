@@ -172,6 +172,28 @@ def test_limit_distribution_is_normalized_on_a_grid():
         assert sl.rho_parity(lim) == pytest.approx(0.5 + delta, abs=1e-10)
 
 
+# Each moment term is c_r rounded once, weighted by a rounded 1/2 +- delta,
+# times a rounded integrand, and fsum adds the terms exactly before one last
+# rounding: a few units of 2**-53 each, and the terms are all >= 0.
+LIMIT_MOMENT_RTOL = 4 * 2**-52
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+@pytest.mark.parametrize("orientation", ["odd_heavy", "even_heavy"])
+def test_limit_distribution_has_the_paper_moments(p, orientation):
+    # both parity classes have moments p**(m(m+1)/2), so every mixture of
+    # them, the limit law at any delta, has them too
+    for delta in np.linspace(-0.5, 0.5, 11).tolist():
+        values = sl.limit_distribution(delta, p, 64, orientation).values.tolist()
+        for m in range(5):
+            target = p ** (m * (m + 1) // 2)
+            moment = math.fsum(
+                x * float(math.prod(p**r - p**i for i in range(m)))
+                for r, x in enumerate(values) if x  # a zero c_r's integrand can overflow
+            )
+            assert abs(moment / target - 1) <= LIMIT_MOMENT_RTOL, (delta, m)
+
+
 def test_limit_distribution_orientation_mirror():
     for delta in (-0.4, -0.1, 0.25):
         a = sl.limit_distribution(delta, 2, 64, orientation="odd_heavy")

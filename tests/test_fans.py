@@ -748,6 +748,23 @@ def test_fan_collapse_needs_a_level():
         )
 
 
+def test_level_counts_stop_below_the_count_bound():
+    # a draw holds an entry per level; 2**60 of them used to reach a list
+    # no int64 index describes, and 10**20 raised OverflowError
+    spec = FanSpec.from_rate(SQUARE, 2, 3, 10.0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for count in (2**60, 10**20):
+        with pytest.raises(sl.ValidationError) as info:
+            sl.sample_levels(default_stream(), spec, count, rng)
+        assert str(info.value) == f"count must be below the count bound 2**60, got {count}"
+        with pytest.raises(sl.ValidationError, match="levels must be below the count bound"):
+            sl.fan_collapse(
+                spec, default_stream(), make_initial(32), "exact_kernel", 2, rng, levels=count,
+            )
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("levels", [2.5, True, "3"])
 def test_fan_collapse_rejects_a_non_int_level_count(levels):
     spec = FanSpec.from_rate(SQUARE, 2, 3, 10.0)

@@ -1,5 +1,7 @@
 """Tests for the mod-p operator, equilibrium constants, and iteration."""
 
+import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +52,50 @@ def test_params_reject_a_one_rank_window():
     for N in (1, 0):
         with pytest.raises(sl.ValidationError, match="N must be >= 2"):
             sl.LagrangianParams(2, N)
+
+
+def test_check_prime_takes_milliseconds_below_its_bound():
+    # trial division stops by d = 46341 below 2**31; 2**61 - 1 would take
+    # minutes, so it is rejected by the bound before any division
+    start = time.perf_counter()
+    _check_prime(2**31 - 1)
+    with pytest.raises(sl.InvalidPrime) as info:
+        _check_prime(2**61 - 1)
+    assert str(info.value) == f"p = {2**61 - 1} is not below the prime bound 2**31"
+    with pytest.raises(sl.InvalidPrime, match="not below the prime bound"):
+        _check_prime(2**31)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_params_reject_a_window_numpy_cannot_describe():
+    # an N x N float64 operator needs N < 2**30; the check allocates nothing
+    sl.LagrangianParams(2, 2**30 - 1)
+    for N in (2**30, 10**20):
+        with pytest.raises(sl.ValidationError) as info:
+            sl.LagrangianParams(2, N)
+        assert str(info.value) == f"N must be below the window bound 2**30, got {N}"
+
+
+def falling(p, r, m):
+    # prod_{i<m} (p**r - p**i), the m-th moment's integrand at rank r
+    return math.prod(p**r - p**i for i in range(m))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 53, 101])
+def test_each_parity_class_has_the_paper_moments(p):
+    # E+-[prod_{i<m} (p**r - p**i)] = p**(m(m+1)/2) on each parity class on
+    # its own, for m <= 4, in Fractions.  The prefactor's product is cut
+    # after 200 factors, which leaves it too large by a relative
+    # prod_{j>200} (1 + p**-j) - 1 < 2 p**-200; the ranks from 40 on carry
+    # under p**-600 of a moment, so each moment lies in [1, 1 + 2 p**-200]
+    # times its target.
+    pref, q = _exact_prefactor(p), sl.c_partial_products(p, 40)
+    cut = Fraction(2, p**200)
+    for m in range(5):
+        target = p ** (m * (m + 1) // 2)
+        for parity in (0, 1):
+            moment = pref * sum(q[r] * falling(p, r, m) for r in range(parity, 40, 2))
+            assert target <= moment <= target * (1 + cut), (m, parity)
 
 
 def test_operator_entries_p2():

@@ -13,6 +13,7 @@ from selmerlab import cli
 from selmerlab.twists import (
     PrimeStream,
     TStepSampler,
+    _kernel,
     _marginals,
     _sampled_marginals,
     _t_row,
@@ -179,6 +180,18 @@ def test_a_stream_reports_its_first_bad_site():
     # a bad width at site 1 comes before a bad norm at site 2
     with pytest.raises(sl.ValidationError, match="width must be 0, 1 or 2, got 3"):
         PrimeStream(np.array([2.0, 3.0, 1.0]), np.array([1, 3, 1]))
+
+
+@pytest.mark.parametrize("norms, widths", [
+    ([2.0, 3.0], [1]),  # was length 2, and iterated one site
+    ([2.0], [1, 2, 1]),  # was accepted
+    ([2.0, 3.0, 4.0], [1, 2]),  # raised numpy's broadcast ValueError
+    ([], [1]),
+])
+def test_a_stream_needs_one_width_per_norm(norms, widths):
+    message = f"one width per norm, got {len(norms)} norms and {len(widths)} widths"
+    with pytest.raises(sl.ValidationError, match=message):
+        PrimeStream(np.array(norms), np.array(widths, dtype=np.int64))
 
 
 def test_t_distribution_rows():
@@ -507,7 +520,7 @@ def test_sampled_marginals_equal_products_with_full_kernels(p, N, rows, weights,
     got = _sampled_marginals(rows, init, TStepSampler(p, y, seed))
     start = init.as_float()
     full = TStepSampler(p, y, seed)
-    kernels = {i: full._kernel(i, N - 1, N) for i in (1, 2)}
+    kernels = {i: _kernel(i, (full.row(i, r) for r in range(N)), 1.0 / p, N) for i in (1, 2)}
     expect = _marginals(rows, start / start.sum(), kernels.__getitem__)
     assert got.tobytes() == expect.tobytes()
 
