@@ -245,6 +245,13 @@ def _object(data, what: str, required=(), optional=()) -> dict:
 
 def _number(value, kind: type, what: str):
     # A JSON number or numeric string (not a bool) as ``kind``, int or float.
+    # An int, or a string int() reads, is read exactly as an int; any other
+    # value goes through float, so "1e3" and 3.0 read as ints too.
+    if kind is int and isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
     number = None
     if not isinstance(value, bool):
         try:
@@ -254,9 +261,7 @@ def _number(value, kind: type, what: str):
     if number is None or kind is int and not number.is_integer():
         noun = "an integer" if kind is int else "a number"
         raise ValidationError(f"{what} needs {noun}, got {value!r}")
-    if kind is float:
-        return number
-    return value if isinstance(value, int) else int(number)
+    return number if kind is float else int(number)
 
 
 def _list(value, what: str) -> list:

@@ -31,26 +31,15 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .distributions import (
-    TOL_NORM,
-    TOL_TAIL,
-    Density,
-    _freeze,
-    _parity_weighted,
-    _validate_probability_vector,
-    apply,
-    l1_distance,
-    make_density,
-    rho_parity,
-)
+from .distributions import TOL_NORM, Density, apply, l1_distance, make_density, rho_parity
 from .errors import (
     DisparityOutOfRange,
     EmptyCharacterList,
     ValidationError,
 )
-from .fans import ConvergenceRate, FanSpec, Mode, fan_collapse
-from .lagrangian import LagrangianParams, _lagrangian_power, c_constants
-from .twists import StreamConfig, synth_prime_stream
+from .fans import ConvergenceRate, FanSpec, fan_collapse
+from .lagrangian import LagrangianParams, _lagrangian_power, _mixture, c_constants
+from .twists import Mode, StreamConfig, synth_prime_stream
 
 __all__ = [
     "LocalCharacter",
@@ -192,7 +181,7 @@ def limit_distribution(
     ``odd_heavy`` puts (1/2 + delta) c_r on odd r and (1/2 - delta) c_r
     on even r; ``even_heavy`` swaps the coefficients.
     """
-    return _limit_values(c_constants(LagrangianParams(p, N)), delta, orientation)
+    return Density(_limit_rows(c_constants(LagrangianParams(p, N)), [delta], orientation)[0])
 
 
 def _inside(deltas) -> int:
@@ -214,16 +203,10 @@ def _limit_rows(c: np.ndarray, deltas: list, orientation: Orientation) -> np.nda
     if good and orientation not in _ORIENTATIONS:
         raise ValidationError(f"unknown orientation {orientation!r}")
     tilt = np.array(deltas[:good], dtype=np.float64)[:, None]
-    rows = _parity_weighted(c, 0.5 + tilt if orientation == "odd_heavy" else 0.5 - tilt)
-    _validate_probability_vector(rows, TOL_TAIL, "density")
+    rows = _mixture(c, 0.5 + tilt if orientation == "odd_heavy" else 0.5 - tilt)
     if good < len(deltas):
         raise _out_of_range(deltas[good])
     return rows
-
-
-def _limit_values(c: np.ndarray, delta: float, orientation: Orientation) -> Density:
-    # limit_distribution from given c_constants
-    return Density(_freeze(_limit_rows(c, [delta], orientation)[0]))
 
 
 def average_rank(

@@ -20,6 +20,7 @@ and :func:`project_parity` is a density under it at w = 0 or 1.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
@@ -52,6 +53,11 @@ TOL_NORM = 1e-12
 TOL_TAIL = 1e-10
 
 Side = Literal["even", "odd"]
+
+
+def _is_int(value) -> bool:
+    # The one integer rule of counts, seeds, ranks, p and N: no bool.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_exact(array: np.ndarray) -> bool:
@@ -130,6 +136,8 @@ def make_density(raw, N: int | None = None) -> Density:
     values = _coerce_vector(raw)
     if N is None:
         N = len(values)
+    if not _is_int(N):
+        raise TruncationMismatch(f"N must be an int, got {N!r}")
     if len(values) > N:
         raise TruncationMismatch(f"raw has length {len(values)} > N = {N}")
     if len(values) < N:

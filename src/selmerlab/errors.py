@@ -3,8 +3,10 @@
 Every error raised on purpose by this package derives from
 :class:`SelmerLabError`, so callers can catch one type at the boundary.
 Validation failures (bad input data) and numeric failures (a quantity
-that was supposed to be small is not) are distinct subclasses because
-the command line maps them to different exit codes.
+that was supposed to be small is not) are distinct subclasses, so a
+caller can tell bad input from a computation that missed its tolerance.
+The command line maps every SelmerLabError to exit 1; its exit 2 is a
+``fans`` residual above the spec's threshold, which raises nothing.
 """
 
 

@@ -39,7 +39,7 @@ from typing import Literal
 
 import numpy as np
 
-from .distributions import Density, _density_unchecked, apply, l1_distance
+from .distributions import Density, _density_unchecked, _is_int, apply, l1_distance
 from .errors import (
     EmptyFan,
     InfeasibleFan,
@@ -48,13 +48,13 @@ from .errors import (
 )
 from .lagrangian import _lagrangian_power
 from .twists import (
+    Mode,
     PrimeSite,
     PrimeStream,
     TStepSampler,
     _check_run,
     _check_width,
     _fan_average,
-    _is_int,
 )
 
 __all__ = [
@@ -76,8 +76,6 @@ __all__ = [
     "fan_union_distribution",
     "step_average_gap",
 ]
-
-Mode = Literal["exact_kernel", "sampled_at_Y"]
 
 _ENUMERATION_CAP = 2_000_000
 
@@ -489,8 +487,6 @@ def enumerate_levels(stream, spec: FanSpec) -> list[Level]:
             f"enumeration is limited to streams of <= 200 sites, got {len(stream)}"
         )
     n1, n2 = width_pattern(spec.m, spec.k)
-    if spec.m == 0:
-        return [make_level(())]
     pool1 = [s for s in stream if s.width == 1]
     pool2 = [s for s in stream if s.width == 2]
     total = math.comb(len(pool1), n1) * math.comb(len(pool2), n2)
@@ -555,6 +551,24 @@ def _seeded_sampler(p: int, y: float | None, rng: np.random.Generator) -> TStepS
     return TStepSampler(p, y, seed=int(rng.integers(2**62)))
 
 
+def _run_fans(fans, count, initial, mode, p, rng, walks, y) -> Density:
+    # The one drawn-fan run, unchecked, since its callers have called
+    # _check_run: count levels drawn from each fan in turn, then (sampled
+    # mode) the sampler seeded from rng, then each fan averaged on walks //
+    # len(fans) walks (exact mode reads no walks) and weighted by its exact
+    # size.  One fan's weight is 1.0, so its average comes back bit for bit.
+    rows = [fan.widths[fan.draw(count, rng)].tolist() for fan in fans]
+    sampler = _seeded_sampler(p, y, rng) if mode == "sampled_at_Y" else None
+    share = walks // len(fans) if sampler else walks
+    size = sum(fan.size for fan in fans)
+    total = np.zeros(initial.N)
+    for fan, fan_rows in zip(fans, rows):
+        dist = _fan_average(fan_rows, initial, mode, p, rng, share, sampler)
+        # int / int is correctly rounded even where the sizes overflow a float
+        total = total + (fan.size / size) * dist.as_float()
+    return _density_unchecked(total)
+
+
 def fan_collapse(
     spec: FanSpec,
     stream,
@@ -571,18 +585,16 @@ def fan_collapse(
 
     Samples ``levels`` levels of the fan, then (sampled mode) seeds a
     ``TStepSampler`` at cutoff y from ``rng``, then averages the level
-    distributions.  The fan side goes through the twist-process kernels
-    (or sampled walks); the target side is the k-th matrix power of the
-    Lagrangian operator, so the two sides are independent constructions.
+    distributions: the one drawn-fan run, ``_run_fans``.  The fan side
+    goes through the twist-process kernels (or sampled walks); the
+    target side is the k-th matrix power of the Lagrangian operator, so
+    the two sides are independent constructions.
     Every input is checked before the first read of ``rng``, so a
     rejected call leaves it as it was.
     """
     _check_count(levels, "levels", 1)
     _check_run(mode, p, initial.N, walks, levels, y, rng)
-    fan = _fan_of(stream, spec)
-    rows = fan.widths[fan.draw(levels, rng)].tolist()
-    sampler = _seeded_sampler(p, y, rng) if mode == "sampled_at_Y" else None
-    average = _fan_average(rows, initial, mode, p, rng, walks, sampler)
+    average = _run_fans([_fan_of(stream, spec)], levels, initial, mode, p, rng, walks, y)
     return average, apply(_lagrangian_power(p, initial.N, spec.k), initial)
 
 
@@ -653,12 +665,13 @@ def fan_union_distribution(
     """Average over the union of fans with fixed total width k.
 
     Feasible slice sizes are ceil(k/2) <= m <= min(k, m_max); slices the
-    stream cannot realize are skipped.  Slices are weighted by their
-    exact fan sizes.  In exact mode every slice gives the same
-    distribution, so the weights are irrelevant there, which is part of
-    the point being verified.
+    stream cannot realize are skipped.  The run is :func:`fan_collapse`'s
+    over the slices: every slice's levels, then the sampler's seed, then
+    the slice averages, weighted by their exact fan sizes.  In exact mode
+    every slice gives the same distribution, so the weights are
+    irrelevant there, which is part of the point being verified.
     """
-    _check_count(levels_per_slice, "levels_per_slice", 1)  # before the sampled seed is read
+    _check_count(levels_per_slice, "levels_per_slice", 1)  # before the first rng read
     fans = (_fan_of(stream, FanSpec.from_rate(rate, m, k, X))
             for m in (range((k + 1) // 2, min(k, m_max) + 1) if k > 0 else [0]))
     slices = [fan for fan in fans if fan.size]
@@ -666,15 +679,7 @@ def fan_union_distribution(
         raise EmptyFan(f"no feasible fan slice for k = {k} with m <= {m_max}")
     # each slice runs walks // len(slices) walks
     _check_run(mode, p, initial.N, walks, levels_per_slice * len(slices), y, rng)
-    sampler = _seeded_sampler(p, y, rng) if mode == "sampled_at_Y" else None
-    rows = [fan.widths[fan.draw(levels_per_slice, rng)].tolist() for fan in slices]
-    union_size = sum(fan.size for fan in slices)
-    total = np.zeros(initial.N)
-    for fan, fan_rows in zip(slices, rows):
-        dist = _fan_average(fan_rows, initial, mode, p, rng, walks // len(slices), sampler)
-        # int / int is correctly rounded even where the sizes overflow a float
-        total = total + (fan.size / union_size) * dist.as_float()
-    return _density_unchecked(total)
+    return _run_fans(slices, levels_per_slice, initial, mode, p, rng, walks, y)
 
 
 def step_average_gap(

@@ -50,9 +50,10 @@ from .distributions import (
     BandedOperator,
     Density,
     Side,
-    _density_unchecked,
     _freeze,
+    _is_int,
     _parity_weighted,
+    _validate_probability_vector,
     _zeros,
     apply,
     l1_distance,
@@ -86,6 +87,8 @@ _PRIME_BOUND = 2**31
 
 def _check_prime(p: int) -> None:
     # The one prime rule: LagrangianParams, t_distribution and TStepSampler.
+    if not _is_int(p):
+        raise InvalidPrime(f"p must be an int, got {p!r}")
     if p >= _PRIME_BOUND:
         raise InvalidPrime(f"p = {p} is not below the prime bound 2**31")
     d = 2
@@ -103,6 +106,8 @@ _WINDOW_BOUND = 2**30
 def _check_window(N: int) -> None:
     # The one rank-window rule: a width-1 step must be able to flip parity,
     # and the window's operators must be arrays numpy can describe.
+    if not _is_int(N):
+        raise ValidationError(f"N must be an int, got {N!r}")
     if N < 2:
         raise ValidationError(f"N must be >= 2, got {N}")
     if N >= _WINDOW_BOUND:
@@ -260,13 +265,17 @@ def equilibrium(params: LagrangianParams) -> EquilibriumPair:
     enough that the tail is below ``TOL_TAIL`` (N >= 12 covers p >= 2).
     """
     c = c_constants(params)
-    return EquilibriumPair(_mixture(c, 0.0), _mixture(c, 1.0), c)
+    return EquilibriumPair(Density(_mixture(c, 0.0)), Density(_mixture(c, 1.0)), c)
 
 
-def _mixture(c: np.ndarray, odd_mass: float) -> Density:
-    # The one parity mixture of the c_n: (1 - odd_mass) E+ + odd_mass E-.
-    # E+, E-, predicted_limit and the disparity limits are all this law.
-    return _density_unchecked(_parity_weighted(c, odd_mass), TOL_TAIL)
+def _mixture(c: np.ndarray, odd_mass) -> np.ndarray:
+    # The one parity mixture of the c_n, (1 - odd_mass) E+ + odd_mass E-, as
+    # frozen values checked to sum to 1 within TOL_TAIL: one row per entry of
+    # a column of odd masses, the first bad row raising.  E+, E-,
+    # predicted_limit and the disparity limits are all this law.
+    rows = _parity_weighted(c, odd_mass)
+    _validate_probability_vector(rows, TOL_TAIL, "density")
+    return _freeze(rows)
 
 
 def iterate_limit(
@@ -296,4 +305,4 @@ def predicted_limit(f: Density, power_parity: Side, params: LagrangianParams) ->
     if power_parity not in ("even", "odd"):
         raise ValidationError(f"power_parity must be 'even' or 'odd', got {power_parity!r}")
     rho = rho_parity(f) if power_parity == "even" else 1.0 - rho_parity(f)
-    return _mixture(c_constants(params), rho)
+    return Density(_mixture(c_constants(params), rho))

@@ -36,11 +36,11 @@ inequality the averaging bounds assume.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .distributions import (
     Density,
     _density_unchecked,
     _freeze,
+    _is_int,
     _zeros,
 )
 from .errors import DegenerateConfig, ValidationError
@@ -85,11 +86,6 @@ class PrimeSite:
             raise ValidationError(f"site norm must be > 1, got {self.norm}")
         if self.width not in (0, 1, 2):
             raise ValidationError(f"site width must be 0, 1 or 2, got {self.width}")
-
-
-def _is_int(value) -> bool:
-    # The one integer rule of seeds, walk and level counts: no bool.
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_seed(seed) -> bool:
@@ -230,6 +226,8 @@ def t_distribution(i: int, r: int, p: int, *, exact: bool = False):
     the rank floor is automatic.
     """
     _check_width(i)
+    if not _is_int(r):
+        raise ValidationError(f"rank r must be an int, got {r!r}")
     if r < 0:
         raise ValidationError(f"rank r must be >= 0, got {r}")
     _check_prime(p)
@@ -444,12 +442,15 @@ def _check_walks(walks, levels: int) -> None:
         raise ValidationError(f"need at most 2**63 - 1 walks per level, got {walks // levels}")
 
 
+Mode = Literal["exact_kernel", "sampled_at_Y"]  # the names _check_run takes
+
+
 def _check_run(mode, p: int, N: int, walks, levels: int, y: float | None, rng) -> None:
     # Everything a fan or walk run rejects, checked once by each public entry
     # before its first rng read: the mode, a prime p and a window N >= 2 (the
     # LagrangianParams rules), and in sampled mode an rng, a walk per level
     # and the sampler's cutoff.  The core, _fan_average, checks nothing.
-    if mode not in ("exact_kernel", "sampled_at_Y"):
+    if mode not in get_args(Mode):
         raise ValidationError(f"unknown mode {mode!r}")
     LagrangianParams(p, N)
     if mode == "sampled_at_Y":

@@ -297,6 +297,34 @@ def test_fans_integral_floats_and_numeric_strings_read_as_ints(tmp_path, capsys)
     assert json.loads(outputs[0])["params"]["m"] == 2
 
 
+def test_number_reads_integers_exactly():
+    # an integer string went through float and came back rounded, and an int
+    # past float range was refused although numpy takes it as a seed
+    assert cli._number("12345678901234567891", int, "seed") == 12345678901234567891
+    assert cli._number(10**400, int, "seed") == 10**400
+    for value, want in (("3", 3), (3.0, 3), ("1e3", 1000), (" 7 ", 7), ("-2", -2)):
+        read = cli._number(value, int, "seed")
+        assert type(read) is int and read == want
+    for value in (True, "2.5", 2.5, "x", None, 1e400, "1" * 5000):
+        with pytest.raises(sl.ValidationError, match="seed needs an integer"):
+            cli._number(value, int, "seed")
+
+
+def test_fans_big_seeds_run_as_written(tmp_path, capsys):
+    # a seed in a string runs as that int, the same artifact as the JSON
+    # number, and a 401-digit seed runs too
+    big = 12345678901234567891
+    outputs = []
+    for seed in (str(big), big, 10**400):
+        code, out, err = run(["fans", fans_spec(tmp_path, mode="sampled", walks=2000,
+                                                Y=100.0, seed=seed), "--format", "json"], capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert '"seed": 12345678901234567891,' in outputs[0]
+    assert json.loads(outputs[2])["params"]["seed"] == 10**400
+
+
 class JsonFile:
     """An argv slot that becomes the path of a JSON file holding ``data``."""
 
@@ -895,7 +923,7 @@ def avg_rank_payload(p, N, grid, orientation):
         if not abs(delta) <= 0.5:
             raise sl.DisparityOutOfRange(f"|delta| must be <= 1/2, got {delta}")
         limit = _mixture(c, 0.5 + delta if orientation == "odd_heavy" else 0.5 - delta)
-        return float(np.arange(N) @ limit.values)
+        return float(np.arange(N) @ limit)
 
     means = [mean(delta) for delta in grid]
     slope, intercept = np.polyfit(grid, means, 1)

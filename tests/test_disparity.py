@@ -16,7 +16,6 @@ from selmerlab.disparity import (
     LocalCharacter,
     LocalPlaceData,
     _limit_rows,
-    _limit_values,
     _mean_rank,
 )
 
@@ -284,8 +283,7 @@ def test_one_c_for_many_deltas_matches_the_public_functions(p, N, orientation, d
     before = c.copy()
     rows = _limit_rows(c, deltas, orientation)
     for delta, row in zip(deltas, rows, strict=True):
-        dist = _limit_values(c, delta, orientation)
-        assert np.array_equal(dist.values, sl.limit_distribution(delta, p, N, orientation).values)
+        dist = sl.limit_distribution(delta, p, N, orientation)
         assert np.array_equal(row, dist.values)
         assert _mean_rank(row) == sl.average_rank(delta, p, N, orientation)
     assert np.array_equal(c, before)

@@ -255,3 +255,15 @@ def test_block_check_names_the_first_bad_row(bad, error, text):
     with pytest.raises(error) as info:
         sl.make_operator(block[:3, :3])
     assert str(info.value) == "operator " + text
+
+
+def test_make_density_rejects_a_non_int_window():
+    # numpy's own TypeError came out of the zero padding before
+    for N in (8.5, 2.0, "2", True):
+        with pytest.raises(sl.TruncationMismatch) as info:
+            sl.make_density([1.0], N)
+        assert str(info.value) == f"N must be an int, got {N!r}"
+    with pytest.raises(sl.TruncationMismatch) as info:
+        sl.make_density([0.5, 0.5], 1)
+    assert str(info.value) == "raw has length 2 > N = 1"
+    assert sl.make_density([1.0], np.int64(3)).N == 3

@@ -227,6 +227,16 @@ def test_enumerate_levels_small_stream():
         sl.enumerate_levels(default_stream(), spec2)
 
 
+def test_enumerate_levels_of_the_empty_fan():
+    # the (0, 0) fan holds exactly the empty level, with no branch of its own
+    stream = [site(1, 5.0, 1), site(2, 3.0, 2)]
+    spec = FanSpec.from_rate(SQUARE, 0, 0, 10.0)
+    found = sl.enumerate_levels(stream, spec)
+    assert found == [Level(())]
+    assert Fan(stream, spec).size == 1
+    assert Fan(default_stream(), spec).size == 1
+
+
 def test_enumeration_agrees_with_sampling_support():
     stream = [site(j, 2.0 + 3.0 * j, 1 + (j % 2)) for j in range(20)]
     spec = FanSpec.from_rate(SQUARE, 2, 3, 10.0)
@@ -1001,6 +1011,48 @@ def test_fan_union_matches_power_exactly():
     )
     target = sl.apply(sl.power(sl.build_lagrangian(sl.LagrangianParams(2, 32)), 4), init)
     assert sl.l1_distance(out, target) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["exact_kernel", "sampled_at_Y"])
+def test_one_slice_union_is_the_fan_collapse_average(mode):
+    # k = 3 with m <= 2 leaves the one slice (2, 3); both entries run the one
+    # drawn-fan run, so they give the same floats and leave rng alike
+    stream, init = default_stream(), make_initial(32)
+    runs = []
+    for seed in range(3):
+        rng_union, rng_fan = np.random.default_rng(seed), np.random.default_rng(seed)
+        union = sl.fan_union_distribution(
+            stream, 2, 3, 10.0, SQUARE, init, mode, 2, rng_union,
+            levels_per_slice=30, walks=20_000, y=100.0,
+        )
+        average, _ = sl.fan_collapse(
+            FanSpec.from_rate(SQUARE, 2, 3, 10.0), stream, init, mode, 2, rng_fan,
+            levels=30, walks=20_000, y=100.0,
+        )
+        assert np.array_equal(union.values, average.values)
+        assert rng_union.bit_generator.state == rng_fan.bit_generator.state
+        runs.append(union.values)
+    if mode == "sampled_at_Y":
+        assert not np.array_equal(runs[0], runs[1])
+
+
+def test_sampled_union_is_within_bias_and_noise():
+    # three slices (m = 2, 3, 4) of 30 levels and 30 000 walks each: every
+    # sampled step moves a t-row by at most 1/Y in l1, so a slice is within
+    # m/Y <= m_max/Y of M_L**4 f, and so is their size-weighted mix; the
+    # Monte Carlo term is four summed per-cell standard errors at 30 000 walks
+    stream, init = default_stream(), make_initial(32)
+    m_max, k, per_slice = 4, 4, 30_000
+    t = sl.apply(sl.power(sl.build_lagrangian(sl.LagrangianParams(2, 32)), k), init).as_float()
+    noise = 4.0 * float(np.sqrt(t * (1.0 - t) / per_slice).sum())
+    target = sl.make_density(t)
+    for y in (20.0, 100.0, 1000.0):
+        for seed in range(20):
+            out = sl.fan_union_distribution(
+                stream, m_max, k, 10.0, SQUARE, init, "sampled_at_Y", 2,
+                np.random.default_rng(seed), levels_per_slice=30, walks=3 * per_slice, y=y,
+            )
+            assert sl.l1_distance(out, target) <= m_max / y + noise, (y, seed)
 
 
 def test_fan_union_zero_width():

@@ -76,6 +76,25 @@ def test_params_reject_a_window_numpy_cannot_describe():
         assert str(info.value) == f"N must be below the window bound 2**30, got {N}"
 
 
+def test_params_reject_a_non_int_prime_or_window():
+    # 2.5 passed the trial division and 8.5 every window comparison; each is
+    # now refused by its own rule, and integer faults keep their class and text
+    for p, N, error, text in [
+        (2.5, 8, sl.InvalidPrime, "p must be an int, got 2.5"),
+        (True, 8, sl.InvalidPrime, "p must be an int, got True"),
+        ("3", 8, sl.InvalidPrime, "p must be an int, got '3'"),
+        (2, 8.5, sl.ValidationError, "N must be an int, got 8.5"),
+        (2, 8.0, sl.ValidationError, "N must be an int, got 8.0"),
+        (4, 8, sl.InvalidPrime, "p = 4 is not prime"),
+        (2, 1, sl.ValidationError, "N must be >= 2, got 1"),
+    ]:
+        with pytest.raises(error) as info:
+            sl.LagrangianParams(p, N)
+        assert type(info.value) is error
+        assert str(info.value) == text
+    assert sl.LagrangianParams(np.int64(3), np.int64(8)) == sl.LagrangianParams(3, 8)
+
+
 def falling(p, r, m):
     # prod_{i<m} (p**r - p**i), the m-th moment's integrand at rank r
     return math.prod(p**r - p**i for i in range(m))

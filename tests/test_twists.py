@@ -628,3 +628,18 @@ def test_sampler_seeds_rows_as_default_rng_does(seed):
             state = np.random.default_rng([seed, i, r]).bit_generator.state
             assert sampler._rng(i, r).bit_generator.state == state
             assert sampler.row(i, r).tobytes() == numpy_build_row(sampler, i, r).tobytes()
+
+
+def test_t_distribution_rejects_a_non_int_rank_or_prime():
+    # Fraction's raw TypeError came out of p**r before
+    with pytest.raises(sl.InvalidPrime) as info:
+        sl.t_distribution(1, 2, 2.5)
+    assert str(info.value) == "p must be an int, got 2.5"
+    for r in (2.5, True, "2"):
+        with pytest.raises(sl.ValidationError) as info:
+            sl.t_distribution(1, r, 2)
+        assert type(info.value) is sl.ValidationError
+        assert str(info.value) == f"rank r must be an int, got {r!r}"
+    with pytest.raises(sl.ValidationError) as info:
+        sl.t_distribution(1, -1, 2)
+    assert str(info.value) == "rank r must be >= 0, got -1"
