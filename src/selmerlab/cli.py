@@ -41,6 +41,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import (
+    EVEN,
     TOL_NORM,
     Density,
     _parity_weighted,
@@ -58,12 +59,13 @@ from .lagrangian import (
     equilibrium,
     predicted_limit,
 )
-from .twists import S3_WIDTH_DENSITIES, StreamConfig, synth_prime_stream
+from .twists import EXACT, S3_WIDTH_DENSITIES, SAMPLED, StreamConfig, synth_prime_stream
 from .fans import ConvergenceRate, FanSpec, fan_collapse
 from .disparity import (
     DisparityTable,
     LocalCharacter,
     LocalPlaceData,
+    ODD_HEAVY,
     _ORIENTATIONS,
     _limit_rows,
     _mean_rank,
@@ -76,7 +78,7 @@ from .disparity import (
 # iterate and avg-rank make their densities in blocks of at most this many
 # rows, so their memory does not grow with --steps or --grid.
 _BLOCK = 256
-_MODES = {"exact": "exact_kernel", "sampled": "sampled_at_Y"}
+_MODES = {"exact": EXACT, "sampled": SAMPLED}  # a spec's mode -> twists.Mode
 _SPEC_OPTIONAL = (
     "rate", "mode", "Y", "walks", "seed", "levels", "threshold", "stream",
     "table", "orientation", "p", "N",
@@ -368,7 +370,7 @@ def cmd_iterate(args):
     _check_table_length(args.steps, "--steps")  # the table holds steps + 1 float64s
     params = LagrangianParams(args.p, args.N)
     f = _parse_initial(args.initial, args.N)
-    target = predicted_limit(f, "even", params).values
+    target = predicted_limit(f, EVEN, params).values
     matrix = build_lagrangian(params).matrix
     # steps + 1 double steps, each a half step and a full step, and each is
     # checked by the rule apply checks it with, the last double step too,
@@ -410,7 +412,7 @@ def cmd_fans(args):
     if not isinstance(mode_name, str) or mode_name not in _MODES:
         raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode_name!r}")
     mode = _MODES[mode_name]
-    orientation = spec.get("orientation", "odd_heavy")
+    orientation = spec.get("orientation", ODD_HEAVY)
     if orientation not in _ORIENTATIONS:
         raise ValidationError(f"orientation must be one of {_ORIENTATIONS}, got {orientation!r}")
     p, N = _number(spec.get("p", 2), int, "p"), _number(spec.get("N", 64), int, "N")
@@ -432,7 +434,7 @@ def cmd_fans(args):
         "m": m, "k": k, "X": X, "mode": mode_name, "p": p, "N": N,
         "seed": seed, "walks": walks, "levels": levels,
     }
-    if mode == "sampled_at_Y":
+    if mode == SAMPLED:
         params["Y"] = y
 
     if "table" in spec:
@@ -528,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     window.add_argument("-p", type=int, default=2)
     window.add_argument("-N", type=int, default=64)
     tilt = _Parser(add_help=False)
-    tilt.add_argument("--orientation", choices=_ORIENTATIONS, default="odd_heavy")
+    tilt.add_argument("--orientation", choices=_ORIENTATIONS, default=ODD_HEAVY)
 
     parser = _Parser(prog="selmer-lab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)

@@ -9,14 +9,11 @@ per-place local character data: each character contributes a sign
 Delta is the only parameter the limiting rank distribution of the twist
 family depends on.  Two opposite sign conventions for how delta tilts
 the limit appear in the source material, so both are implemented behind
-an ``orientation`` flag:
-
-* ``odd_heavy`` puts mass (1/2 + delta) c_r on odd ranks r and
-                    (1/2 - delta) c_r on even ranks;
-* ``even_heavy`` is the same with the parities swapped.
-
-Either way the limit is ``predicted_limit`` at odd mass 1/2 + delta
-(``odd_heavy``) or 1/2 - delta (``even_heavy``).
+an ``orientation`` flag: the limit is ``predicted_limit`` at odd mass
+1/2 + s delta, where the sign s (``_odd_sign``) is +1 for ``odd_heavy``,
+which puts mass (1/2 + delta) c_r on odd ranks r and (1/2 - delta) c_r
+on even ranks, and -1 for ``even_heavy``, the same with the parities
+swapped.
 
 ``odd_heavy`` is the default: it is the convention under which the
 average rank is 1.2645 + 0.1211 delta (the odd-rank mass sum B exceeds
@@ -31,7 +28,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .distributions import TOL_NORM, Density, apply, l1_distance, make_density, rho_parity
+from .distributions import TOL_NORM, Density, _is_int, apply, l1_distance, make_density, rho_parity
 from .errors import (
     DisparityOutOfRange,
     EmptyCharacterList,
@@ -58,7 +55,7 @@ __all__ = [
 ]
 
 Orientation = Literal["odd_heavy", "even_heavy"]
-_ORIENTATIONS = get_args(Orientation)  # the names an Orientation takes
+_ORIENTATIONS = ODD_HEAVY, EVEN_HEAVY = get_args(Orientation)  # the names an Orientation takes
 
 
 @dataclass(frozen=True)
@@ -167,20 +164,17 @@ def finite_fan_distribution(pair: InitialPair, k: int, p: int, N: int) -> Densit
     class, so the k-th power acts on e1_plus for even k and e1_minus
     for odd k.
     """
-    if k < 0:
-        raise ValidationError(f"k must be >= 0, got {k}")
+    if not _is_int(k) or k < 0:
+        raise ValidationError(f"k must be an int >= 0, got {k!r}")
     start = pair.e1_plus if k % 2 == 0 else pair.e1_minus
     return apply(_lagrangian_power(p, N, k), start)
 
 
 def limit_distribution(
-    delta: float, p: int, N: int = 64, orientation: Orientation = "odd_heavy"
+    delta: float, p: int, N: int = 64, orientation: Orientation = ODD_HEAVY
 ) -> Density:
-    """The limiting rank distribution as total width grows.
-
-    ``odd_heavy`` puts (1/2 + delta) c_r on odd r and (1/2 - delta) c_r
-    on even r; ``even_heavy`` swaps the coefficients.
-    """
+    """The limiting rank distribution as total width grows, at odd mass
+    1/2 + delta (``odd_heavy``) or 1/2 - delta (``even_heavy``)."""
     return Density(_limit_rows(c_constants(LagrangianParams(p, N)), [delta], orientation)[0])
 
 
@@ -194,6 +188,10 @@ def _out_of_range(delta) -> DisparityOutOfRange:
     return DisparityOutOfRange(f"|delta| must be <= 1/2, got {delta}")
 
 
+def _odd_sign(orientation: Orientation) -> int:
+    return 1 if orientation == ODD_HEAVY else -1  # the one tilt sign of the odd ranks
+
+
 def _limit_rows(c: np.ndarray, deltas: list, orientation: Orientation) -> np.ndarray:
     # limit_distribution from given c_constants, one row per delta, for
     # callers that tilt one c many times.  Checked as one call per delta
@@ -203,14 +201,14 @@ def _limit_rows(c: np.ndarray, deltas: list, orientation: Orientation) -> np.nda
     if good and orientation not in _ORIENTATIONS:
         raise ValidationError(f"unknown orientation {orientation!r}")
     tilt = np.array(deltas[:good], dtype=np.float64)[:, None]
-    rows = _mixture(c, 0.5 + tilt if orientation == "odd_heavy" else 0.5 - tilt)
+    rows = _mixture(c, 0.5 + _odd_sign(orientation) * tilt)
     if good < len(deltas):
         raise _out_of_range(deltas[good])
     return rows
 
 
 def average_rank(
-    delta: float, p: int = 2, N: int = 64, orientation: Orientation = "odd_heavy"
+    delta: float, p: int = 2, N: int = 64, orientation: Orientation = ODD_HEAVY
 ) -> float:
     """Mean rank of the limit distribution; affine in delta.
 
@@ -250,7 +248,7 @@ def end_to_end_fan_experiment(
     N: int = 64,
     *,
     rng: np.random.Generator,
-    orientation: Orientation = "odd_heavy",
+    orientation: Orientation = ODD_HEAVY,
     stream: StreamConfig | None = None,
     stream_X: float = 2000.0,
     levels: int = 30,
@@ -268,8 +266,7 @@ def end_to_end_fan_experiment(
     delta = delta_global(table)
     # Built first: it reads no rng and rejects a bad orientation before any sampling.
     limit = limit_distribution(delta, p, N, orientation)
-    pair_delta = -delta if orientation == "odd_heavy" else delta
-    pair = initial_from_disparity(pair_delta, N)
+    pair = initial_from_disparity(-_odd_sign(orientation) * delta, N)
     config = stream if stream is not None else StreamConfig(seed=0)
     # The governed target of the pipeline, M_L**k on the parity-matched
     # start, is finite_fan_distribution(pair, k, p, N).

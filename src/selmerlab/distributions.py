@@ -23,7 +23,7 @@ import enum
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -53,6 +53,7 @@ TOL_NORM = 1e-12
 TOL_TAIL = 1e-10
 
 Side = Literal["even", "odd"]
+EVEN, ODD = get_args(Side)
 
 
 def _is_int(value) -> bool:
@@ -146,10 +147,10 @@ def make_density(raw, N: int | None = None) -> Density:
     return Density(_freeze(values))
 
 
-def _density_unchecked(values: np.ndarray, tol: float = TOL_NORM) -> Density:
+def _density_unchecked(values: np.ndarray) -> Density:
     # Internal: entries are non-negative by construction, only the mass
     # drift needs asserting.
-    _validate_probability_vector(values, tol, "density")
+    _validate_probability_vector(values, TOL_NORM, "density")
     return Density(_freeze(values))
 
 
@@ -218,9 +219,9 @@ def project_parity(f: Density, side: Side) -> np.ndarray:
     as a plain array.  ``project_parity(f, "even") +
     project_parity(f, "odd")`` reproduces ``f.values`` exactly.
     """
-    if side not in ("even", "odd"):
+    if side not in (EVEN, ODD):
         raise ValidationError(f"side must be 'even' or 'odd', got {side!r}")
-    return _parity_weighted(f.values, 0 if side == "even" else 1)
+    return _parity_weighted(f.values, 0 if side == EVEN else 1)
 
 
 def _parity_weighted(values: np.ndarray, odd_mass) -> np.ndarray:
@@ -234,16 +235,21 @@ def _parity_weighted(values: np.ndarray, odd_mass) -> np.ndarray:
 
 
 def apply(M: BandedOperator, f: Density) -> Density:
-    """Act on a density from the right: (M f)(s) = sum_r m[r, s] f(r)."""
+    """Act on a density from the right: (M f)(s) = sum_r m[r, s] f(r).
+
+    The product is exact when both operands are, and float64 otherwise.
+    """
     if M.N != f.N:
         raise TruncationMismatch(f"operator N = {M.N}, density N = {f.N}")
-    values = np.dot(f.values, M.matrix)
-    return _density_unchecked(values)
+    values, matrix = f.values, M.matrix
+    if M.exact != f.exact:
+        values, matrix = values.astype(float), matrix.astype(float)
+    return _density_unchecked(np.dot(values, matrix))
 
 
 def power(M: BandedOperator, k: int) -> BandedOperator:
     """k-th composition power; k = 0 gives the identity."""
-    if k < 0 or k != int(k):
+    if not _is_int(k) or k < 0:
         raise ValidationError(f"power requires an integer k >= 0, got {k!r}")
     if k == 0:
         return identity_operator(M.N, exact=M.exact)

@@ -48,6 +48,8 @@ from .errors import (
 )
 from .lagrangian import _lagrangian_power
 from .twists import (
+    EXACT,
+    SAMPLED,
     Mode,
     PrimeSite,
     PrimeStream,
@@ -117,8 +119,8 @@ def strat_bounds(rate: ConvergenceRate, m: int, X: float) -> tuple[float, ...]:
     """Log-domain stratification bounds (log L_1, ..., log L_m), one per slot."""
     if not X >= 1.0:
         raise ValidationError(f"X must be >= 1, got {X}")
-    if m < 0 or m > 1000:
-        raise ValidationError(f"m must be in 0..1000, got {m}")
+    if not _is_int(m) or m < 0 or m > 1000:
+        raise ValidationError(f"m must be an int in 0..1000, got {m!r}")
     log_x = math.log(X)
     try:
         logs = [rate.log_value(log_x)] if m else []
@@ -139,8 +141,8 @@ class FanSpec:
     log_bounds: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.m < 0 or self.k < 0:
-            raise ValidationError(f"m and k must be >= 0, got m={self.m}, k={self.k}")
+        if not (_is_int(self.m) and _is_int(self.k) and self.m >= 0 and self.k >= 0):
+            raise ValidationError(f"m and k must be ints >= 0, got m={self.m!r}, k={self.k!r}")
         if len(self.log_bounds) != self.m:
             raise ValidationError(f"expected {self.m} bounds, got {len(self.log_bounds)}")
         if any(b > a for a, b in zip(self.log_bounds[1:], self.log_bounds)):
@@ -534,17 +536,15 @@ def fan_distribution(
 
     Equal weights are correct because every level of a fixed fan has
     the same number of sites, hence the same twist-fiber cardinality.
-    In sampled mode each level runs ``walks // len(levels)`` walks, so
-    the remainder of the budget is not run.  A level's histogram has the
-    law Multinomial(walks // len(levels), E) for its exact walk law E
-    under the sampled kernels, so one multinomial call on ``rng``, one
-    row per level, draws every level.
+    In sampled mode each level runs ``walks // len(levels)`` walks, the
+    rest of the budget unused, drawn as in :func:`~selmerlab.twists.simulate_walks`.
     """
     if not levels:
         raise EmptyFan("fan average over an empty list of levels")
     _check_run(mode, p, initial.N, walks, len(levels), None, rng)
     rows = [[site.width for site in level.sites] for level in levels]
-    return _fan_average(rows, initial, mode, p, rng, walks, None)
+    sampler = TStepSampler(p) if mode == SAMPLED else None  # exact t-rows
+    return _fan_average(rows, initial, p, rng, walks, sampler)
 
 
 def _seeded_sampler(p: int, y: float | None, rng: np.random.Generator) -> TStepSampler:
@@ -558,12 +558,12 @@ def _run_fans(fans, count, initial, mode, p, rng, walks, y) -> Density:
     # len(fans) walks (exact mode reads no walks) and weighted by its exact
     # size.  One fan's weight is 1.0, so its average comes back bit for bit.
     rows = [fan.widths[fan.draw(count, rng)].tolist() for fan in fans]
-    sampler = _seeded_sampler(p, y, rng) if mode == "sampled_at_Y" else None
+    sampler = _seeded_sampler(p, y, rng) if mode == SAMPLED else None
     share = walks // len(fans) if sampler else walks
     size = sum(fan.size for fan in fans)
     total = np.zeros(initial.N)
     for fan, fan_rows in zip(fans, rows):
-        dist = _fan_average(fan_rows, initial, mode, p, rng, share, sampler)
+        dist = _fan_average(fan_rows, initial, p, rng, share, sampler)
         # int / int is correctly rounded even where the sizes overflow a float
         total = total + (fan.size / size) * dist.as_float()
     return _density_unchecked(total)
@@ -641,8 +641,8 @@ def mixture_bound_check(
         raise NotSubset("B is not a sub-multiset of B'")
     if len({len(level.sites) for level in B_prime}) > 1:
         raise ValidationError("levels must all have the same number of sites")
-    e_b = fan_distribution(B, initial, "exact_kernel", p)
-    e_bp = fan_distribution(B_prime, initial, "exact_kernel", p)
+    e_b = fan_distribution(B, initial, EXACT, p)
+    e_bp = fan_distribution(B_prime, initial, EXACT, p)
     rhs = 2.0 * (len(B_prime) - len(B)) / len(B)
     return l1_distance(e_b, e_bp), rhs
 
@@ -672,6 +672,8 @@ def fan_union_distribution(
     irrelevant there, which is part of the point being verified.
     """
     _check_count(levels_per_slice, "levels_per_slice", 1)  # before the first rng read
+    if not (_is_int(k) and _is_int(m_max)):
+        raise ValidationError(f"k and m_max must be ints, got k={k!r}, m_max={m_max!r}")
     fans = (_fan_of(stream, FanSpec.from_rate(rate, m, k, X))
             for m in (range((k + 1) // 2, min(k, m_max) + 1) if k > 0 else [0]))
     slices = [fan for fan in fans if fan.size]
@@ -701,12 +703,11 @@ def step_average_gap(
     support, and mc_halfwidth is the summed per-cell binomial standard
     error of the Monte Carlo estimate.
     """
-    _check_run("sampled_at_Y", p, initial.N, walks, 1, y, rng)
+    _check_run(SAMPLED, p, initial.N, walks, 1, y, rng)
     _check_width(i)
-    base = _fan_average([[s.width for s in level.sites]], initial, "exact_kernel", p, rng, 0, None)
+    base = _fan_average([[s.width for s in level.sites]], initial, p, None, 0, None)
     target = apply(_lagrangian_power(p, initial.N, i), base)
-    sampler = _seeded_sampler(p, y, rng)
-    empirical = _fan_average([[i]], base, "sampled_at_Y", p, rng, walks, sampler)
+    empirical = _fan_average([[i]], base, p, rng, walks, _seeded_sampler(p, y, rng))
     b = int(np.nonzero(base.as_float())[0].max())
     bias_bound = (b + 1) / y
     t = target.as_float()

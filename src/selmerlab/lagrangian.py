@@ -47,6 +47,8 @@ import numpy as np
 
 from .distributions import (
     TOL_TAIL,
+    EVEN,
+    ODD,
     BandedOperator,
     Density,
     Side,
@@ -60,7 +62,7 @@ from .distributions import (
     power,
     rho_parity,
 )
-from .errors import InvalidPrime, NoConvergence, ValidationError
+from .errors import InvalidPrime, NoConvergence, TruncationMismatch, ValidationError
 
 __all__ = [
     "LagrangianParams",
@@ -302,7 +304,9 @@ def iterate_limit(
 
 def predicted_limit(f: Density, power_parity: Side, params: LagrangianParams) -> Density:
     """The limit (1-rho)E+ + rho E- of even powers, swapped for odd powers."""
-    if power_parity not in ("even", "odd"):
+    if power_parity not in (EVEN, ODD):
         raise ValidationError(f"power_parity must be 'even' or 'odd', got {power_parity!r}")
-    rho = rho_parity(f) if power_parity == "even" else 1.0 - rho_parity(f)
+    if f.N != params.N:
+        raise TruncationMismatch(f"density N = {f.N}, params N = {params.N}")
+    rho = rho_parity(f) if power_parity == EVEN else 1.0 - rho_parity(f)
     return Density(_mixture(c_constants(params), rho))

@@ -84,8 +84,8 @@ class PrimeSite:
     def __post_init__(self) -> None:
         if not self.norm > 1.0:
             raise ValidationError(f"site norm must be > 1, got {self.norm}")
-        if self.width not in (0, 1, 2):
-            raise ValidationError(f"site width must be 0, 1 or 2, got {self.width}")
+        if not _is_int(self.width) or self.width not in (0, 1, 2):
+            raise ValidationError(f"site width must be 0, 1 or 2, got {self.width!r}")
 
 
 def _is_seed(seed) -> bool:
@@ -136,6 +136,8 @@ class PrimeStream(Sequence[PrimeSite]):
                 f"a stream needs one width per norm, got {len(norms)} norms"
                 f" and {len(widths)} widths"
             )
+        if widths.dtype.kind not in "iu":
+            raise ValidationError(f"stream widths must be ints, got dtype {widths.dtype}")
         bad = np.flatnonzero(~(norms > 1.0) | (widths < 0) | (widths > 2))
         if bad.size:  # the first bad site raises PrimeSite's error
             j = int(bad[0])
@@ -213,9 +215,9 @@ def synth_prime_stream(config: StreamConfig, X: float) -> Sequence[PrimeSite]:
 
 
 def _check_width(i) -> None:
-    # The one step-width rule: t_distribution and step_average_gap.
-    if i not in (1, 2):
-        raise ValidationError(f"width i must be 1 or 2, got {i}")
+    # The one step-width rule: t_distribution, simulate_walks and step_average_gap.
+    if not _is_int(i) or i not in (1, 2):
+        raise ValidationError(f"width i must be 1 or 2, got {i!r}")
 
 
 def t_distribution(i: int, r: int, p: int, *, exact: bool = False):
@@ -423,12 +425,15 @@ def simulate_walks(
     on the window and the widths, not on W.
 
     This is the one-level case of a sampled fan; see :func:`_fan_average`.
-    A rejected call (:func:`_check_run`, the sampler's p) leaves ``rng`` as it was.
+    A rejected call (:func:`_check_run`, the sampler's p, a width) leaves
+    ``rng`` as it was.
     """
-    _check_run("sampled_at_Y", p, initial.N, walks, 1, None, rng)
+    _check_run(SAMPLED, p, initial.N, walks, 1, None, rng)
     if sampler is not None and sampler.p != p:
         raise ValidationError(f"sampler is for p = {sampler.p}, walks are for p = {p}")
-    return _fan_average([widths], initial, "sampled_at_Y", p, rng, walks, sampler)
+    for i in widths:
+        _check_width(i)
+    return _fan_average([widths], initial, p, rng, walks, sampler or TStepSampler(p))
 
 
 def _check_walks(walks, levels: int) -> None:
@@ -443,6 +448,7 @@ def _check_walks(walks, levels: int) -> None:
 
 
 Mode = Literal["exact_kernel", "sampled_at_Y"]  # the names _check_run takes
+EXACT, SAMPLED = get_args(Mode)
 
 
 def _check_run(mode, p: int, N: int, walks, levels: int, y: float | None, rng) -> None:
@@ -450,10 +456,10 @@ def _check_run(mode, p: int, N: int, walks, levels: int, y: float | None, rng) -
     # before its first rng read: the mode, a prime p and a window N >= 2 (the
     # LagrangianParams rules), and in sampled mode an rng, a walk per level
     # and the sampler's cutoff.  The core, _fan_average, checks nothing.
-    if mode not in get_args(Mode):
+    if mode not in (EXACT, SAMPLED):
         raise ValidationError(f"unknown mode {mode!r}")
     LagrangianParams(p, N)
-    if mode == "sampled_at_Y":
+    if mode == SAMPLED:
         if rng is None:
             raise ValidationError("sampled mode needs an rng")
         _check_walks(walks, levels)
@@ -496,22 +502,18 @@ def _sampled_marginals(rows, initial: Density, sampler: TStepSampler) -> np.ndar
     return _marginals(rows, start, kernels.__getitem__)
 
 
-def _fan_average(rows, initial, mode, p, rng, walks, sampler) -> Density:
-    # The fan average of levels given as width rows in norm order: the one
-    # mode dispatch, unchecked, since each run's entry has called _check_run.
-    # Exact mode takes the mean of the rows' marginals under the cached exact
-    # kernels; a fan repeats few width sequences, and fewer prefixes of them.
-    # The mean of one exact row is that row, bit for bit.
-    if mode == "exact_kernel":
+def _fan_average(rows, initial, p, rng, walks, sampler) -> Density:
+    # The fan average of levels given as width rows in norm order, unchecked,
+    # since each run's entry has called _check_run.  With no sampler it is the
+    # mean of the rows' marginals under the cached exact kernels, in float as
+    # they are; the mean of one row is that row, bit for bit.
+    if sampler is None:
         N = initial.N
-        levels = _marginals(rows, initial.values, lambda i: _exact_kernel(i, p, N).matrix)
+        levels = _marginals(rows, initial.as_float(), lambda i: _exact_kernel(i, p, N).matrix)
         return _density_unchecked(np.mean(levels, axis=0))
-    # Sampled mode runs walks // len(rows) walks through each row and takes
-    # the mean of the level histograms.  Given the sampler, the walks of a
-    # level are i.i.d. chains, so its histogram is Multinomial(walks //
-    # len(rows), E_j) for its marginal E_j, and one multinomial call with
-    # one pvals row per level draws them all: the one read of rng.
-    sampler = sampler or TStepSampler(p)
+    # With a sampler it is the mean of the rows' histograms of walks //
+    # len(rows) walks each, drawn as in simulate_walks: one multinomial call
+    # with a pvals row per level, the one read of rng.
     per_level = walks // len(rows)
     counts = rng.multinomial(per_level, _sampled_marginals(rows, initial, sampler))
     return _density_unchecked(np.mean(counts / per_level, axis=0))

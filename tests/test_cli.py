@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import selmerlab as sl
 from selmerlab import cli
 from selmerlab.lagrangian import _mixture
+from selmerlab.twists import EXACT, SAMPLED, Mode
 
 
 def run(argv, capsys):
@@ -1005,3 +1007,10 @@ def test_iterate_delta_with_thousands_of_digits_exits_one(capsys):
     leading_zeros = "delta" + "0" * 5000 + "1"
     code, out, err = run(["iterate", "--initial", leading_zeros, "--steps", "1"], capsys)
     assert code == 0 and err.startswith("{")
+
+
+def test_cli_modes_are_the_mode_names():
+    # the spec's two mode names map onto twists.Mode, in its order
+    assert (EXACT, SAMPLED) == get_args(Mode)
+    assert cli._MODES == {"exact": EXACT, "sampled": SAMPLED}
+    assert tuple(cli._MODES.values()) == get_args(Mode)

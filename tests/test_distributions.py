@@ -267,3 +267,34 @@ def test_make_density_rejects_a_non_int_window():
         sl.make_density([0.5, 0.5], 1)
     assert str(info.value) == "raw has length 2 > N = 1"
     assert sl.make_density([1.0], np.int64(3)).N == 3
+
+
+def test_a_float_operand_makes_the_product_float():
+    # a float operator on a Fraction density gave an object array of
+    # floats that called itself exact
+    params = sl.LagrangianParams(2, 8)
+    M, M_exact = sl.build_lagrangian(params), sl.build_lagrangian(params, exact=True)
+    f_exact = sl.make_density([Fraction(1, 3), Fraction(2, 3)], 8)
+    f = sl.make_density([1 / 3, 2 / 3], 8)
+    floats = sl.apply(M, f)
+    for op, dens in ((M, f_exact), (M_exact, f)):
+        out = sl.apply(op, dens)
+        assert not out.exact and out.values.dtype == np.float64
+        assert out.values.tobytes() == floats.values.tobytes()
+    assert floats.values.tobytes() == np.dot(f.values, M.matrix).tobytes()
+    exact = sl.apply(M_exact, f_exact)
+    assert exact.exact and all(type(v) is Fraction for v in exact.values)
+    # the exact-mode fan engine's kernels are float, so a Fraction start
+    # gives the float start's density
+    rng = np.random.default_rng(0)
+    stream = sl.synth_prime_stream(sl.StreamConfig(seed=0), 2000.0)
+    spec = sl.FanSpec.from_rate(sl.ConvergenceRate("power", 1.0, 2.0), 2, 3, 10.0)
+    levels = sl.sample_levels(stream, spec, 3, rng)
+    for start in (f_exact, f):
+        fan = sl.fan_distribution(levels, start, "exact_kernel", 2)
+        assert not fan.exact and fan.values.dtype == np.float64
+        average, target = sl.fan_collapse(spec, stream, start, "exact_kernel", 2, rng, levels=3)
+        assert not average.exact and not target.exact
+        assert target.values.tobytes() == sl.apply(sl.power(M, 3), f).values.tobytes()
+    assert (sl.fan_distribution(levels, f_exact, "exact_kernel", 2).values.tobytes()
+            == sl.fan_distribution(levels, f, "exact_kernel", 2).values.tobytes())

@@ -87,6 +87,34 @@ def test_strat_bounds_reject_an_infinite_rate():
         sl.strat_bounds(rate, 1, 1e10)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "2", math.nan, math.inf])
+def test_fan_shapes_and_powers_must_be_non_bool_ints(bad):
+    # 2.5 and "2" raised a raw TypeError, nan a ValueError and inf an
+    # OverflowError; True ran as 1
+    M = sl.build_lagrangian(sl.LagrangianParams(2, 8))
+    pair = sl.initial_from_disparity(0.2, 8)
+    calls = [
+        lambda: FanSpec.from_rate(SQUARE, bad, 3, 10.0),
+        lambda: FanSpec.from_rate(SQUARE, 2, bad, 10.0),
+        lambda: FanSpec(bad, 0, 10.0, ()),
+        lambda: sl.strat_bounds(SQUARE, bad, 10.0),
+        lambda: sl.power(M, bad),
+        lambda: sl.finite_fan_distribution(pair, bad, 2, 8),
+        lambda: sl.fan_union_distribution(
+            default_stream(), 4, bad, 10.0, SQUARE, make_initial(32), "exact_kernel", 2,
+            np.random.default_rng(0)),
+        lambda: sl.fan_union_distribution(
+            default_stream(), bad, 3, 10.0, SQUARE, make_initial(32), "exact_kernel", 2,
+            np.random.default_rng(0)),
+    ]
+    for call in calls:
+        with pytest.raises(sl.ValidationError):
+            call()
+    # an integral float used to pass as a power
+    with pytest.raises(sl.ValidationError, match="power requires an integer k >= 0"):
+        sl.power(M, 2.0)
+
+
 def test_strat_bounds_linear_rate():
     # with R(Y) = Y the X * L_n branch drives the first steps, then the
     # product branch takes over: R(10 * 100 * 1000) = 1e6 > 10 * 1000
@@ -544,13 +572,13 @@ def test_fan_distribution_rejects_non_int_walk_counts():
                                 walks=walks)
 
 
-def test_fan_engine_runs_one_target_rows_without_a_sampler():
-    # delta_0 through width-1-first rows on a two-rank window, exact rows:
-    # with p = 3 each row's law is a point mass (rank 0, 0 and 1), so
-    # every level's 333 walks land on one rank
+def test_fan_engine_runs_one_target_rows_with_exact_t_rows():
+    # delta_0 through width-1-first rows on a two-rank window, a sampler
+    # without a cutoff: with p = 3 each row's law is a point mass (rank 0, 0
+    # and 1), so every level's 333 walks land on one rank
     init = sl.make_density([1.0], 2)
     rows = [[1, 2, 1], [1, 1], [2, 1, 2]]
-    got = _fan_average(rows, init, "sampled_at_Y", 3, np.random.default_rng(4), 999, None)
+    got = _fan_average(rows, init, 3, np.random.default_rng(4), 999, TStepSampler(3))
     expect = np.mean([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], axis=0)
     assert got.values.tobytes() == expect.tobytes()
 
@@ -581,7 +609,7 @@ def sampled_fan_against_its_law(fan, seed, levels, walks, y):
     rng = np.random.default_rng(seed)
     rows = fan.widths[fan.draw(levels, rng)].tolist()
     sampler = TStepSampler(2, y, seed=int(rng.integers(2**62)))
-    got = _fan_average(rows, init, "sampled_at_Y", 2, rng, walks, sampler).values
+    got = _fan_average(rows, init, 2, rng, walks, sampler).values
     laws = walk_laws(rows, init, 2, sampler)
     var = (laws * (1.0 - laws)).sum(axis=0) / (walks // levels) / levels**2
     return got - laws.mean(axis=0), var
@@ -630,7 +658,7 @@ def test_exact_fan_shares_prefixes_bit_for_bit(p, N, rows, weights):
         for i in widths:
             out = sl.apply(sl.exact_step_kernel(i, p, N), out)
         stack.append(out.values)
-    got = _fan_average(rows, init, "exact_kernel", p, None, 0, None)
+    got = _fan_average(rows, init, p, None, 0, None)
     assert got.values.tobytes() == np.mean(stack, axis=0).tobytes()
 
 

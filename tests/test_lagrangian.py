@@ -313,6 +313,15 @@ def test_predicted_limit_rejects_an_unknown_power_parity():
         sl.predicted_limit(f, "both", sl.LagrangianParams(2, 64))
 
 
+def test_predicted_limit_rejects_another_window():
+    # a smaller window raised NotNormalized, a larger one returned a
+    # density of the params' size
+    params = sl.LagrangianParams(2, 16)
+    for N in (8, 32):
+        with pytest.raises(sl.TruncationMismatch, match=f"density N = {N}, params N = 16"):
+            sl.predicted_limit(sl.make_density([0.25, 0.75], N), "even", params)
+
+
 def test_predicted_limit_checks_only_the_limit_it_returns():
     # at p = 2, N = 8 the odd class holds c_1..c_7 (tail c_9 ~ 2e-11)
     # but the even class misses c_8 ~ 5e-9, so E+ fails TOL_TAIL while a

@@ -548,6 +548,29 @@ def test_sampled_kernels_are_built_to_their_reach(p, N, rows, weights, y):
     assert sorted(calls) == expect
 
 
+@pytest.mark.parametrize("width", [1.0, 1.5, True, "1", math.nan])
+def test_widths_must_be_non_bool_ints(width):
+    # 1.0 and True passed for width 1 before, and 1.5 died in the engine
+    # with a raw TypeError; a rejected walk call reads no rng
+    with pytest.raises(sl.ValidationError, match="site width must be 0, 1 or 2"):
+        sl.PrimeSite(0, 3.0, width)
+    with pytest.raises(sl.ValidationError, match="width i must be 1 or 2"):
+        sl.t_distribution(width, 0, 2)
+    with pytest.raises(sl.ValidationError, match="width i must be 1 or 2"):
+        sl.exact_step_kernel(width, 2, 4)
+    if isinstance(width, float):
+        # a float array built, indexed as int(width) and failed on iteration
+        with pytest.raises(sl.ValidationError, match="stream widths must be ints"):
+            PrimeStream(np.array([2.0, 3.0]), np.array([width, 2.0]))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    init = sl.make_density([1.0], 8)
+    for widths in ([width], [1, 2, width]):
+        with pytest.raises(sl.ValidationError, match="width i must be 1 or 2"):
+            sl.simulate_walks(widths, init, 2, 100, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_simulate_walks_rejects_a_sampler_for_another_prime():
     init = sl.make_density([1.0], 8)
     with pytest.raises(sl.ValidationError, match="sampler is for p = 3"):
